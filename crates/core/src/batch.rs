@@ -72,8 +72,8 @@
 //! pruned *scores* incomparable to full-grid scores.
 
 use crate::estimator::{
-    parabolic_offset, report_scale, smooth_map_into, smooth_map_into_mul, CompressiveEstimator,
-    CorrelationMode, EstimatorOptions, KernelPath,
+    parabolic_offset, report_scale, smooth_map_into, smooth_map_into_mul, top_cells_into,
+    CompressiveEstimator, CorrelationMode, EstimatorOptions, KernelClosure, KernelPath,
 };
 use chamber::SectorPatterns;
 use geom::sphere::Direction;
@@ -541,6 +541,8 @@ pub struct BatchScratch {
     mark_sm: Vec<u32>,
     mark_sel: Vec<u32>,
     stamp: u32,
+    /// Cell-index buffer of the top-k selection (provenance path only).
+    order: Vec<u32>,
 }
 
 impl BatchScratch {
@@ -736,6 +738,83 @@ impl BatchEstimator {
         })
     }
 
+    /// [`Self::estimate_one`] plus the provenance closure of the same
+    /// pass, read from the scratch it left behind:
+    ///
+    /// * `p_snr`/`p_rssi`: the usable probes' values as this path
+    ///   correlated them (narrowed to f32, or quarter-dB steps for `Q15`);
+    /// * `top_cells`/`top_weights`: the `k` best cells of the final map
+    ///   (the argmax input), weights scaled to the reported score, so
+    ///   `top_weights[0]` is the score;
+    /// * `energy_max`: `max_g ‖x(g)‖` in report-scale dB.
+    ///
+    /// A degenerate link records the first `k` cells at weight 0, as the
+    /// f64 kernel's all-zero map does, and `energy_max` 0 when fewer than
+    /// two probes were usable. Dense estimators only: a pruned pass leaves
+    /// no full map to rank.
+    pub fn estimate_one_recorded(
+        &self,
+        readings: &[SweepReading],
+        k: usize,
+    ) -> (Option<LinkEstimate>, KernelClosure) {
+        assert!(self.prune.is_none(), "recorded estimates need a dense pass");
+        THREAD_BATCH_SCRATCH.with(|s| {
+            let mut s = s.borrow_mut();
+            let mut out = Vec::with_capacity(1);
+            self.estimate_batch_into(&mut s, &[readings], &mut out);
+            (out[0], self.dense_closure(&mut s, readings, k))
+        })
+    }
+
+    /// The closure of link 0 after a dense single-link pass.
+    fn dense_closure(
+        &self,
+        s: &mut BatchScratch,
+        readings: &[SweepReading],
+        k: usize,
+    ) -> KernelClosure {
+        let path = self.options.kernel_path;
+        let as_correlated = |v: f64| match path {
+            KernelPath::F64 => v,
+            KernelPath::F32 => f64::from(v as f32),
+            KernelPath::Q15 => f64::from(quantize_q15(v)) / 4.0,
+        };
+        let (p_snr, p_rssi) = self
+            .usable_probes(readings)
+            .map(|(_, vs, vr)| (as_correlated(vs), as_correlated(vr)))
+            .unzip();
+        let n_grid = self.grid.len();
+        let (top_cells, top_weights) = match self.dense_norm(s, 0) {
+            Some(inv_norm) => {
+                let map = if self.options.smoothing {
+                    &s.smoothed[..n_grid]
+                } else {
+                    &s.maps[..n_grid]
+                };
+                let (cells, mut weights) = top_cells_into(map, k, &mut s.order);
+                weights.iter_mut().for_each(|w| *w *= inv_norm);
+                (cells, weights)
+            }
+            None => {
+                let k = k.min(n_grid);
+                ((0..k as u64).collect(), vec![0.0; k])
+            }
+        };
+        // Q15 energies accumulate quarter-dB steps: ‖4x‖ = 4‖x‖.
+        let energy_max = match (s.usable[0] < 2, path) {
+            (true, _) => 0.0,
+            (false, KernelPath::Q15) => s.vv_max[0].sqrt() / 4.0,
+            (false, _) => s.vv_max[0].sqrt(),
+        };
+        KernelClosure {
+            p_snr,
+            p_rssi,
+            top_cells,
+            top_weights,
+            energy_max,
+        }
+    }
+
     /// The batched estimate: packs the links' probe panels, sweeps the
     /// gains matrix once (full grid or coarse-to-fine), then finishes each
     /// link (energy prior, smoothing, argmax, parabolic refinement) in
@@ -774,12 +853,36 @@ impl BatchEstimator {
         }
     }
 
-    /// Packs the links' readings into the active path's panels and hoists
-    /// the per-link probe norms. Mirrors the scalar kernel's gather:
-    /// unknown sectors and masked readings drop out entirely; the RSSI
+    /// The usable probes of one sweep as the kernel gathers them, in
+    /// reading order: `(matrix row, report-scale SNR, shifted RSSI)`.
+    /// Unknown sectors and masked readings drop out entirely; the RSSI
     /// vector is shifted so its strongest reading lines up with the
-    /// strongest SNR reading (computed in f64 for every path, then
-    /// narrowed with the values).
+    /// strongest SNR reading.
+    fn usable_probes<'a>(
+        &'a self,
+        readings: &'a [SweepReading],
+    ) -> impl Iterator<Item = (u16, f64, f64)> + 'a {
+        let (mut max_rssi, mut max_snr_scaled) = (f64::NEG_INFINITY, 0.0f64);
+        for m in readings.iter().filter_map(|r| r.measurement) {
+            max_rssi = max_rssi.max(m.rssi_dbm);
+            max_snr_scaled = max_snr_scaled.max(report_scale(m.snr_db));
+        }
+        let rssi_offset = max_snr_scaled - max_rssi;
+        readings.iter().filter_map(move |r| {
+            let row = self.row_of[r.sector.raw() as usize];
+            let m = r.measurement.filter(|_| row != u16::MAX)?;
+            Some((
+                row,
+                report_scale(m.snr_db),
+                (m.rssi_dbm + rssi_offset).max(0.0),
+            ))
+        })
+    }
+
+    /// Packs the links' readings into the active path's panels and hoists
+    /// the per-link probe norms. The gather is the scalar kernel's
+    /// ([`Self::usable_probes`], in f64 for every path); the values are
+    /// narrowed to the path afterwards.
     fn pack(&self, s: &mut BatchScratch, links: &[&[SweepReading]]) {
         let bt = links.len();
         let len = 3 * self.n_sectors * bt;
@@ -792,26 +895,11 @@ impl BatchEstimator {
             KernelPath::Q15 => fit(&mut s.pnl15, len, 0),
         }
         for (b, readings) in links.iter().enumerate() {
-            let (mut max_rssi, mut max_snr_scaled) = (f64::NEG_INFINITY, 0.0f64);
-            for m in readings.iter().filter_map(|r| r.measurement) {
-                max_rssi = max_rssi.max(m.rssi_dbm);
-                max_snr_scaled = max_snr_scaled.max(report_scale(m.snr_db));
-            }
-            let rssi_offset = max_snr_scaled - max_rssi;
             let mut n = 0u32;
             let (mut us64, mut ur64) = (0.0f64, 0.0f64);
             let (mut us32, mut ur32) = (0.0f32, 0.0f32);
             let (mut us15, mut ur15) = (0i64, 0i64);
-            for r in readings.iter() {
-                let row = self.row_of[r.sector.raw() as usize];
-                if row == u16::MAX {
-                    continue;
-                }
-                let Some(m) = r.measurement else {
-                    continue;
-                };
-                let vs = report_scale(m.snr_db);
-                let vr = (m.rssi_dbm + rssi_offset).max(0.0);
+            for (row, vs, vr) in self.usable_probes(readings) {
                 let idx = row as usize * 3 * bt + b;
                 match self.options.kernel_path {
                     KernelPath::F64 => {
@@ -945,19 +1033,10 @@ impl BatchEstimator {
     /// off) — or `None` when the link is degenerate (fewer than two
     /// usable probes, or zero expected energy everywhere).
     fn dense_finalize(&self, s: &mut BatchScratch, b: usize) -> Option<f64> {
-        if s.usable[b] < 2 || s.inv_u[b] == 0.0 {
-            // A degenerate probe norm zeroes the scalar kernel's whole
-            // map, which can never win the `> 0` argmax check — bail
-            // before looking at the (unscaled) sweep output.
-            return None;
-        }
+        let inv_norm = self.dense_norm(s, b)?;
         let n_grid = self.grid.len();
         let base = b * n_grid;
         let map = &s.maps[base..base + n_grid];
-        let vv_max = s.vv_max[b];
-        if vv_max.sqrt() <= f64::EPSILON {
-            return None;
-        }
         if self.options.smoothing {
             // The F64 path keeps division-form smoothing (bit parity with
             // the scalar kernel and recorded traces); the quantized paths
@@ -968,6 +1047,22 @@ impl BatchEstimator {
                 KernelPath::F64 => smooth_map_into(map, n_az, n_el, &mut s.smoothed),
                 _ => smooth_map_into_mul(map, n_az, n_el, &mut s.smoothed),
             }
+        }
+        Some(inv_norm)
+    }
+
+    /// The score normalizer of link `b` of a dense sweep (see
+    /// [`Self::dense_finalize`]), or `None` when the link is degenerate.
+    fn dense_norm(&self, s: &BatchScratch, b: usize) -> Option<f64> {
+        if s.usable[b] < 2 || s.inv_u[b] == 0.0 {
+            // A degenerate probe norm zeroes the scalar kernel's whole
+            // map, which can never win the `> 0` argmax check — bail
+            // before looking at the (unscaled) sweep output.
+            return None;
+        }
+        let vv_max = s.vv_max[b];
+        if vv_max.sqrt() <= f64::EPSILON {
+            return None;
         }
         Some(if self.options.energy_prior {
             s.inv_u[b] / vv_max.sqrt().sqrt().sqrt()

@@ -323,6 +323,11 @@ pub struct EstimatorScratch {
     energy: Vec<f64>,
     /// Smoothing output buffer (swapped into `map`).
     smoothed: Vec<f64>,
+    /// `max_g ‖x(g)‖` of the current call; 0 when fewer than two probes
+    /// were usable (the kernel never reached the energy sweep).
+    energy_max: f64,
+    /// Cell-index buffer of the top-k selection (provenance path only).
+    order: Vec<u32>,
     /// Buffers grown during the current call.
     grew: usize,
 }
@@ -338,6 +343,50 @@ impl EstimatorScratch {
     pub fn last_allocations(&self) -> usize {
         self.grew
     }
+
+    /// The Eq. 2–5 intermediates of the kernel run that last filled this
+    /// scratch: its probe vectors, the top `k` cells of its final map and
+    /// its energy normalizer. Reads what the run left behind; runs no
+    /// kernel.
+    fn closure(&mut self, k: usize) -> KernelClosure {
+        let (top_cells, top_weights) = top_cells_into(&self.map, k, &mut self.order);
+        KernelClosure {
+            p_snr: self.p_snr.clone(),
+            p_rssi: self.p_rssi.clone(),
+            top_cells,
+            top_weights,
+            energy_max: self.energy_max,
+        }
+    }
+}
+
+/// The `k` highest-weight cells of `map`, best first, ties to the lower
+/// index, with their weights: the prefix a full sort by that order would
+/// give. Only the `k` winners are sorted, after a partial selection.
+pub fn top_cells(map: &[f64], k: usize) -> (Vec<u64>, Vec<f64>) {
+    top_cells_into(map, k, &mut Vec::new())
+}
+
+/// [`top_cells`] with a reusable cell-index buffer.
+pub(crate) fn top_cells_into(map: &[f64], k: usize, order: &mut Vec<u32>) -> (Vec<u64>, Vec<f64>) {
+    let k = k.min(map.len());
+    order.clear();
+    order.extend(0..map.len() as u32);
+    let rank = |&a: &u32, &b: &u32| {
+        map[b as usize]
+            .partial_cmp(&map[a as usize])
+            .expect("correlation is finite")
+            .then(a.cmp(&b))
+    };
+    if k > 0 && k < order.len() {
+        order.select_nth_unstable_by(k - 1, rank);
+    }
+    let winners = &mut order[..k];
+    winners.sort_unstable_by(rank);
+    (
+        winners.iter().map(|&i| u64::from(i)).collect(),
+        winners.iter().map(|&i| map[i as usize]).collect(),
+    )
 }
 
 /// Grows `buf` to `len` zeros, counting a capacity growth in `grew`.
@@ -442,6 +491,7 @@ impl CompressiveEstimator {
     /// left in `scratch.map`.
     fn correlation_into(&self, s: &mut EstimatorScratch, readings: &[SweepReading]) {
         s.grew = 0;
+        s.energy_max = 0.0;
         let n_grid = self.grid.len();
         reuse_zeroed(&mut s.map, n_grid, &mut s.grew);
         // RSSI is a power in dBm whose absolute level depends on distance.
@@ -543,6 +593,7 @@ impl CompressiveEstimator {
                 w_snr
             };
         }
+        s.energy_max = energy_max;
         if energy_max <= f64::EPSILON {
             s.map.iter_mut().for_each(|w| *w = 0.0);
             return;
@@ -664,23 +715,25 @@ impl CompressiveEstimator {
     /// rebuilt if `mode`/`options` changed since.
     fn estimate_quantized(&self, readings: &[SweepReading]) -> Option<(Direction, f64)> {
         self.ctr_estimates.inc();
-        let batch = {
-            let mut slot = self.quantized.lock().expect("quantized cache poisoned");
-            match &*slot {
-                Some(b) if b.mode() == self.mode && b.options() == self.options => b.clone(),
-                _ => {
-                    let built =
-                        std::sync::Arc::new(crate::batch::BatchEstimator::from_estimator(self));
-                    *slot = Some(built.clone());
-                    built
-                }
-            }
-        };
-        let out = batch.estimate_one(readings);
+        let out = self.quantized_kernel().estimate_one(readings);
         if out.is_none() {
             self.ctr_degenerate.inc();
         }
         out.map(|e| (e.direction, e.score))
+    }
+
+    /// The batched kernel behind non-`F64` estimates, built on first use
+    /// and rebuilt when `mode`/`options` changed since.
+    fn quantized_kernel(&self) -> std::sync::Arc<crate::batch::BatchEstimator> {
+        let mut slot = self.quantized.lock().expect("quantized cache poisoned");
+        match &*slot {
+            Some(b) if b.mode() == self.mode && b.options() == self.options => b.clone(),
+            _ => {
+                let built = std::sync::Arc::new(crate::batch::BatchEstimator::from_estimator(self));
+                *slot = Some(built.clone());
+                built
+            }
+        }
     }
 
     /// Link-health check on the Eq. 5 fit: with the estimated direction
@@ -741,6 +794,12 @@ impl CompressiveEstimator {
 /// decision provenance (`obs::decision`): the normalized probe vectors the
 /// kernel actually correlated, the top-k cells of the final map, and the
 /// energy normalizer of the prior.
+///
+/// On the `F64` path these are the fused kernel's own values. On the
+/// `F32`/`Q15` paths they are the batched kernel's (see
+/// [`crate::batch::BatchEstimator::estimate_one_recorded`]): the probe
+/// values as that path quantized them, its final map's cells with weights
+/// on the score scale, and its energy normalizer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelClosure {
     /// Report-scale SNR probe vector (usable probes, kernel row order).
@@ -752,33 +811,44 @@ pub struct KernelClosure {
     pub top_cells: Vec<u64>,
     /// Final map weight (post prior and smoothing) of each top cell.
     pub top_weights: Vec<f64>,
-    /// The `max_g ‖x(g)‖` energy normalizer of the prior.
+    /// The `max_g ‖x(g)‖` energy normalizer of the prior (0 when fewer
+    /// than two probes were usable).
     pub energy_max: f64,
 }
 
 impl CompressiveEstimator {
-    /// Re-runs the fused kernel on a fresh scratch and captures its
-    /// Eq. 2–5 intermediates for a decision record. Allocates freely —
-    /// intended for the sink-gated provenance path, not the hot loop.
+    /// [`Self::estimate`] plus the provenance closure of the same kernel
+    /// pass, for a decision record: one kernel run, whatever the path.
+    /// The closure keeps the top `k` map cells.
+    pub fn estimate_recorded(
+        &self,
+        readings: &[SweepReading],
+        k: usize,
+    ) -> (Option<(Direction, f64)>, KernelClosure) {
+        if self.options.kernel_path != KernelPath::F64 {
+            self.ctr_estimates.inc();
+            let (out, closure) = self.quantized_kernel().estimate_one_recorded(readings, k);
+            if out.is_none() {
+                self.ctr_degenerate.inc();
+            }
+            return (out.map(|e| (e.direction, e.score)), closure);
+        }
+        THREAD_SCRATCH.with(|s| {
+            let mut s = s.borrow_mut();
+            let estimate = self.estimate_with(&mut s, readings);
+            (estimate, s.closure(k))
+        })
+    }
+
+    /// The f64 fused kernel's closure, from a run of its own on a fresh
+    /// scratch, whatever `options.kernel_path` says. Schema-3 decision
+    /// records stamped this closure on every kernel path, so replay uses
+    /// it for their non-`F64` records; everything else takes the closure
+    /// of the deciding pass from [`Self::estimate_recorded`].
     pub fn kernel_closure(&self, readings: &[SweepReading], k: usize) -> KernelClosure {
         let mut s = EstimatorScratch::new();
         self.correlation_into(&mut s, readings);
-        let energy_max = s.energy.iter().copied().fold(0.0, f64::max);
-        let mut order: Vec<usize> = (0..s.map.len()).collect();
-        order.sort_by(|&a, &b| {
-            s.map[b]
-                .partial_cmp(&s.map[a])
-                .expect("correlation is finite")
-                .then(a.cmp(&b))
-        });
-        order.truncate(k);
-        KernelClosure {
-            top_cells: order.iter().map(|&i| i as u64).collect(),
-            top_weights: order.iter().map(|&i| s.map[i]).collect(),
-            p_snr: s.p_snr,
-            p_rssi: s.p_rssi,
-            energy_max,
-        }
+        s.closure(k)
     }
 }
 

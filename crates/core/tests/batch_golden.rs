@@ -20,8 +20,10 @@
 //!   must agree with a directly-built `BatchEstimator`.
 
 use chamber::SectorPatterns;
-use css::estimator::{CompressiveEstimator, CorrelationMode, EstimatorOptions, KernelPath};
-use css::{BatchEstimator, BatchScratch, PruneConfig};
+use css::estimator::{
+    top_cells, CompressiveEstimator, CorrelationMode, EstimatorOptions, KernelPath,
+};
+use css::{BatchEstimator, BatchScratch, CompressiveSelection, CssConfig, PruneConfig};
 use geom::rng::sub_rng;
 use geom::sphere::{Direction, GridSpec, SphericalGrid};
 use rand::rngs::StdRng;
@@ -595,5 +597,79 @@ fn scalar_dispatch_routes_quantized_paths_through_the_batch_kernel() {
                 "trial {trial}, path {path:?}: scalar dispatch diverged"
             );
         }
+    }
+}
+
+#[test]
+fn reduced_precision_decisions_record_the_closure_of_the_kernel_that_decided() {
+    // A decision on the f32 / q15 path is made by the batched kernel; its
+    // record must carry that kernel's closure (probe values as the path
+    // quantized them, its final map's top cells, its energy normalizer),
+    // not the closure of a hidden f64 re-run.
+    let _guard = obs::testing::lock();
+    let mut rng = sub_rng(818, "batch-golden-recorded");
+    let mode = CorrelationMode::JointSnrRssi;
+    for (path, energy_rel_tol) in [(KernelPath::F32, 1e-5), (KernelPath::Q15, 2e-2)] {
+        let narrow = |v: f64| match path {
+            KernelPath::F32 => f64::from(v as f32),
+            _ => (v * 4.0).round() / 4.0,
+        };
+        let mut differs_from_f64 = false;
+        for trial in 0..12 {
+            let store = beam_store(&mut rng);
+            let readings = beam_readings(&mut rng, &store);
+            let options = options_for(path, trial);
+            let ctx = format!("{path:?} trial {trial}");
+            let mut css =
+                CompressiveSelection::new(store.clone(), CssConfig::paper_default(), trial as u64);
+            css.set_estimator_options(options);
+            let mem = std::sync::Arc::new(obs::MemorySink::new());
+            obs::set_sink(mem.clone());
+            let _ = css.select_from_readings(&readings);
+            obs::clear_sink();
+            let decisions = mem.take_decisions();
+            let rec = &decisions[0];
+            assert_eq!(rec.kernel_path, path.as_str(), "{ctx}");
+
+            // The kernel that decided: the batched kernel on this path.
+            let batch = BatchEstimator::new(&store, mode, options);
+            let est = batch.estimate_one(&readings).expect("beam readings decide");
+            assert!(rec.has_estimate, "{ctx}");
+            assert_eq!(
+                (rec.est_az_deg, rec.est_el_deg, rec.score),
+                (est.direction.az_deg, est.direction.el_deg, est.score),
+                "{ctx}"
+            );
+            // Its final map ranks the recorded cells; the weights sit on
+            // the score scale, the best one being the score itself.
+            let map = batch
+                .final_map_one(&mut BatchScratch::new(), &readings)
+                .expect("non-degenerate");
+            let (cells, weights) = top_cells(&map, rec.top_cells.len());
+            assert_eq!(rec.top_cells, cells, "{ctx}");
+            assert_eq!(rec.top_weights[0], rec.score, "{ctx}");
+            for (w, m) in rec.top_weights.iter().zip(&weights) {
+                assert!((w / rec.score - m / weights[0]).abs() <= 1e-12, "{ctx}");
+            }
+            // Probe values as this path quantized them, and its energy
+            // normalizer on the f64 kernel's scale.
+            let f64_closure = CompressiveEstimator::new(&store, mode).kernel_closure(&readings, 8);
+            let narrowed = |v: &[f64]| v.iter().map(|&x| narrow(x)).collect::<Vec<_>>();
+            assert_eq!(rec.p_snr, narrowed(&f64_closure.p_snr), "{ctx}");
+            assert_eq!(rec.p_rssi, narrowed(&f64_closure.p_rssi), "{ctx}");
+            assert!(
+                (rec.energy_max - f64_closure.energy_max).abs()
+                    <= energy_rel_tol * f64_closure.energy_max,
+                "{ctx}: energy_max {} vs f64 {}",
+                rec.energy_max,
+                f64_closure.energy_max
+            );
+            differs_from_f64 |=
+                rec.p_snr != f64_closure.p_snr || rec.energy_max != f64_closure.energy_max;
+        }
+        assert!(
+            differs_from_f64,
+            "{path:?}: recorded closures indistinguishable from the f64 kernel's"
+        );
     }
 }

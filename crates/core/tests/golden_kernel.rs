@@ -178,3 +178,73 @@ fn scratch_reuse_does_not_perturb_results() {
         assert_eq!(warm, cold, "warm scratch must not leak state");
     }
 }
+
+#[test]
+fn recorded_closure_is_the_deciding_pass_and_equals_a_fresh_rerun() {
+    // `estimate_recorded` reads the closure out of the scratch the
+    // deciding pass filled (a per-thread scratch that every earlier call
+    // on this thread also filled); `kernel_closure` re-runs the kernel on
+    // a fresh scratch. On the f64 path the two must agree bit for bit.
+    let mut rng = sub_rng(31, "golden-closure");
+    let mut degenerate = 0usize;
+    for trial in 0..40 {
+        let store = random_store(&mut rng);
+        let est = CompressiveEstimator::new(&store, CorrelationMode::JointSnrRssi);
+        for _ in 0..4 {
+            let readings = random_readings(&mut rng, &store);
+            let (estimate, closure) = est.estimate_recorded(&readings, 8);
+            assert_eq!(estimate, est.estimate(&readings), "trial {trial}: estimate");
+            assert_eq!(
+                closure,
+                est.kernel_closure(&readings, 8),
+                "trial {trial}: closure of the deciding pass"
+            );
+            degenerate += usize::from(estimate.is_none());
+        }
+    }
+    assert!(
+        degenerate > 0,
+        "randomization never produced a degenerate sweep"
+    );
+}
+
+#[test]
+fn degenerate_sweep_after_a_normal_one_records_a_fresh_closure() {
+    // A sweep with fewer than two usable probes never reaches the energy
+    // sweep, so the scratch still holds the previous call's energies. Its
+    // closure must read as a fresh scratch would: energy_max 0 and the
+    // all-zero map's first cells.
+    let mut rng = sub_rng(32, "golden-degenerate");
+    let store = random_store(&mut rng);
+    let ids = store.sector_ids();
+    let est = CompressiveEstimator::new(&store, CorrelationMode::JointSnrRssi);
+    let probe = |sector: SectorId, snr: Option<f64>| SweepReading {
+        sector,
+        measurement: snr.map(|snr_db| Measurement {
+            snr_db,
+            rssi_dbm: snr_db - 65.0,
+        }),
+    };
+    let normal: Vec<SweepReading> = ids
+        .iter()
+        .enumerate()
+        .map(|(i, &s)| probe(s, Some(2.0 + i as f64)))
+        .collect();
+    let degenerate_sweeps = [
+        vec![probe(ids[0], Some(6.0))],
+        vec![probe(ids[0], Some(6.0)), probe(ids[1], None)],
+        vec![probe(ids[0], None), probe(ids[1], None)],
+        vec![probe(SectorId(200), Some(6.0)), probe(ids[1], Some(3.0))],
+        Vec::new(),
+    ];
+    for sweep in &degenerate_sweeps {
+        let (estimate, before) = est.estimate_recorded(&normal, 8);
+        assert!(estimate.is_some() && before.energy_max > 0.0);
+        let (estimate, closure) = est.estimate_recorded(sweep, 8);
+        assert!(estimate.is_none(), "{sweep:?} is degenerate");
+        assert_eq!(closure, est.kernel_closure(sweep, 8), "{sweep:?}");
+        assert_eq!(closure.energy_max, 0.0, "{sweep:?}: stale energy recorded");
+        assert_eq!(closure.top_cells, (0..8).collect::<Vec<u64>>());
+        assert!(closure.top_weights.iter().all(|&w| w == 0.0));
+    }
+}

@@ -1,7 +1,7 @@
 //! Property-based tests on the compressive estimator's invariants.
 
 use chamber::SectorPatterns;
-use css::estimator::{CompressiveEstimator, CorrelationMode};
+use css::estimator::{top_cells, CompressiveEstimator, CorrelationMode};
 use geom::sphere::{GridSpec, SphericalGrid};
 use proptest::prelude::*;
 use talon_array::{GainPattern, SectorId};
@@ -38,7 +38,47 @@ fn reading(sector: u8, snr: f64) -> SweepReading {
     }
 }
 
+/// The top-k order by a full sort of every cell: weight descending, ties
+/// to the lower index, truncated to `k`.
+fn full_sort_top_k(map: &[f64], k: usize) -> (Vec<u64>, Vec<f64>) {
+    let mut order: Vec<usize> = (0..map.len()).collect();
+    order.sort_by(|&a, &b| map[b].partial_cmp(&map[a]).unwrap().then(a.cmp(&b)));
+    order.truncate(k);
+    (
+        order.iter().map(|&i| i as u64).collect(),
+        order.iter().map(|&i| map[i]).collect(),
+    )
+}
+
 proptest! {
+    #[test]
+    fn partial_selection_top_k_equals_the_full_sort(
+        levels in prop::collection::vec(0usize..8, 0..300),
+        distinct in 1usize..6,
+        k in 0usize..12,
+    ) {
+        // Weights drawn from `distinct` values: many exact ties, and an
+        // all-zero map whenever `distinct` is 1.
+        let map: Vec<f64> = levels.iter().map(|&l| (l % distinct) as f64 / 4.0).collect();
+        prop_assert_eq!(top_cells(&map, k), full_sort_top_k(&map, k));
+    }
+
+    #[test]
+    fn partial_selection_top_k_equals_the_full_sort_on_real_maps(
+        snrs in prop::collection::vec(-7.0f64..12.0, 4),
+        k in 0usize..40,
+    ) {
+        let store = lobe_store();
+        let est = CompressiveEstimator::new(&store, CorrelationMode::JointSnrRssi);
+        let readings: Vec<SweepReading> = snrs
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| reading(i as u8 + 1, s))
+            .collect();
+        let map = est.correlation_map(&readings);
+        prop_assert_eq!(top_cells(&map, k), full_sort_top_k(&map, k));
+    }
+
     #[test]
     fn correlation_map_is_bounded(
         snrs in prop::collection::vec(-7.0f64..12.0, 4),

@@ -396,9 +396,16 @@ fn replay_one(
         });
     }
 
-    // Re-run the fused kernel and its provenance closure.
-    let estimate = est.estimate(&readings);
-    let closure = est.kernel_closure(&readings, rec.top_cells.len());
+    // Re-run the kernel; its closure comes out of the same pass, except
+    // for schema-3 records off the f64 path, which stamped the f64
+    // kernel's closure next to the reduced-precision estimate.
+    let k = rec.top_cells.len();
+    let (estimate, closure) =
+        if rec.schema_version < 4 && est.options.kernel_path != KernelPath::F64 {
+            (est.estimate(&readings), est.kernel_closure(&readings, k))
+        } else {
+            est.estimate_recorded(&readings, k)
+        };
 
     if rec.has_estimate != estimate.is_some() {
         cmp.diverge(

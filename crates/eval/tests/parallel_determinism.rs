@@ -6,9 +6,14 @@
 //! tests pin the guarantee end-to-end through the three Monte Carlo
 //! figures. Results are compared through their full `Debug` rendering,
 //! which includes every float exactly.
+//!
+//! Every test holds `obs::testing::lock()` throughout: the trace captures
+//! install a process-wide sink, and a sibling test running its kernels
+//! meanwhile would leak its spans into the capture.
 
 use css::estimator::KernelPath;
 use eval::estimation::{estimation_error_batched, estimation_error_par};
+use eval::replay::{replay_trace, ReplayConfig};
 use eval::scenario::{EvalScenario, Fidelity};
 use eval::snr_loss::snr_loss_par;
 use eval::stability::selection_stability_par;
@@ -17,6 +22,7 @@ const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
 #[test]
 fn estimation_error_is_thread_count_invariant() {
+    let _guard = obs::testing::lock();
     let mut s = EvalScenario::conference_room(Fidelity::Fast, 901);
     let data = s.record(901);
     let renders: Vec<String> = THREAD_COUNTS
@@ -34,6 +40,7 @@ fn estimation_error_is_thread_count_invariant() {
 
 #[test]
 fn batched_estimation_is_thread_count_invariant_per_precision_mode() {
+    let _guard = obs::testing::lock();
     // The batched sweep groups EVAL_BATCH consecutive units per
     // BatchEstimator call; batch boundaries depend only on the unit
     // count, never on the thread count, so even the reduced-precision
@@ -59,6 +66,7 @@ fn batched_estimation_is_thread_count_invariant_per_precision_mode() {
 
 #[test]
 fn snr_loss_is_thread_count_invariant() {
+    let _guard = obs::testing::lock();
     let mut s = EvalScenario::conference_room(Fidelity::Fast, 902);
     let data = s.record(902);
     let renders: Vec<String> = THREAD_COUNTS
@@ -71,6 +79,7 @@ fn snr_loss_is_thread_count_invariant() {
 
 #[test]
 fn selection_stability_is_thread_count_invariant() {
+    let _guard = obs::testing::lock();
     let mut s = EvalScenario::conference_room(Fidelity::Fast, 903);
     let data = s.record(903);
     let renders: Vec<String> = THREAD_COUNTS
@@ -87,11 +96,10 @@ fn selection_stability_is_thread_count_invariant() {
 }
 
 /// Captures every trace event emitted during one `estimation_error_par`
-/// run at the given thread count.
+/// run at the given thread count. The caller holds `obs::testing::lock()`.
 fn capture_eval_trace(threads: usize) -> Vec<obs::Event> {
     let mut s = EvalScenario::conference_room(Fidelity::Fast, 904);
     let data = s.record(904);
-    let _guard = obs::testing::lock();
     let mem = std::sync::Arc::new(obs::MemorySink::new());
     obs::set_sink(mem.clone());
     let _ = estimation_error_par(&data, &s.patterns, &[6, 14], 2, 904, threads);
@@ -101,6 +109,7 @@ fn capture_eval_trace(threads: usize) -> Vec<obs::Event> {
 
 #[test]
 fn eval_traces_are_structurally_thread_count_invariant() {
+    let _guard = obs::testing::lock();
     // Not just results: the *trace* of a parallel eval must be the same
     // tree regardless of worker count. Each work unit gets a reserved
     // trace id on the coordinating thread and its events are captured
@@ -126,6 +135,7 @@ fn eval_traces_are_structurally_thread_count_invariant() {
 
 #[test]
 fn profiling_does_not_perturb_results_or_traces() {
+    let _guard = obs::testing::lock();
     // The sampling profiler must be workload-inert: with a fast sampler
     // running (publishing every span push/pop into the per-thread slots
     // and sampling concurrently), results AND trace structure stay
@@ -179,6 +189,7 @@ fn profiling_does_not_perturb_results_or_traces() {
 
 #[test]
 fn eval_units_root_their_own_traces() {
+    let _guard = obs::testing::lock();
     let events = capture_eval_trace(4);
     let trees = obs::tree::build_trees(&events);
     assert!(!trees.is_empty());
@@ -191,4 +202,77 @@ fn eval_units_root_their_own_traces() {
         ids.dedup();
         assert_eq!(ids.len(), tree.nodes.len(), "duplicate span ids");
     }
+}
+
+/// Decisions recorded under trace schema 3, before the f32 / q15 paths
+/// recorded their own kernel's closure: three sweeps plus one degenerate
+/// sweep on each of the f64, f32 and q15 paths, against the patterns of
+/// `scenario=lab,fidelity=fast,seed=7`.
+const SCHEMA3_TRACE: &str = include_str!("data/schema3_trace.jsonl");
+
+#[test]
+fn schema3_traces_still_replay_bit_exactly() {
+    let _guard = obs::testing::lock();
+    let trace = obs::jsonl::parse_trace(SCHEMA3_TRACE).expect("fixture parses");
+    assert_eq!(trace.decisions.len(), 12);
+    assert!(trace.decisions.iter().all(|d| d.schema_version == 3));
+    for path in ["f64", "f32", "q15"] {
+        assert_eq!(
+            trace
+                .decisions
+                .iter()
+                .filter(|d| d.kernel_path == path)
+                .count(),
+            4,
+            "{path} records in the fixture"
+        );
+    }
+    // Patterns rebuilt from the records' context, as `talon replay` does.
+    let patterns = EvalScenario::lab(Fidelity::Fast, 7).patterns;
+    for &threads in &THREAD_COUNTS {
+        let report = replay_trace(
+            &trace,
+            &ReplayConfig {
+                threads,
+                patterns_override: Some(patterns.clone()),
+                ..ReplayConfig::default()
+            },
+        );
+        assert!(
+            report.is_clean(),
+            "{threads} threads: {}\n{:?}",
+            report.summary(),
+            report.divergent
+        );
+        assert_eq!(report.replayed, 12);
+        assert_eq!(report.max_abs_err, 0.0, "{threads} threads: bit-exact");
+    }
+    // Negative control: read as schema 4, the reduced-precision records
+    // are compared against their own kernel's closure, which they do not
+    // carry — replay must notice.
+    let mut relabelled = trace.clone();
+    for d in &mut relabelled.decisions {
+        d.schema_version = 4;
+    }
+    let report = replay_trace(
+        &relabelled,
+        &ReplayConfig {
+            threads: 2,
+            patterns_override: Some(patterns),
+            ..ReplayConfig::default()
+        },
+    );
+    assert!(report.max_abs_err > 0.0, "{}", report.summary());
+    assert!(
+        report
+            .divergent
+            .iter()
+            .all(|d| trace.decisions[d.index].kernel_path != "f64"),
+        "f64 records replay the same under either schema: {:?}",
+        report.divergent
+    );
+    assert!(
+        !report.divergent.is_empty(),
+        "q15 closures differ past 1e-3"
+    );
 }

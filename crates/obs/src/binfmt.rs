@@ -178,6 +178,27 @@ impl Interner {
 
 // ── Wire primitives ─────────────────────────────────────────────────────
 
+/// Appends `v` to `buf` as a LEB128 unsigned varint.
+fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+    loop {
+        let byte = (v & 0x7F) as u8;
+        v >>= 7;
+        if v == 0 {
+            buf.push(byte);
+            return;
+        }
+        buf.push(byte | 0x80);
+    }
+}
+
+/// `v` as a whole number of quarter steps, when `v / 4` round-trips
+/// bit-exactly (see [`Enc::f64s`]).
+fn quarter_steps(v: f64) -> Option<i64> {
+    let q = v * 4.0;
+    (q.abs() < (1i64 << 52) as f64 && ((q as i64) as f64 / 4.0).to_bits() == v.to_bits())
+        .then_some(q as i64)
+}
+
 /// Append-only encoder for one payload. When built with an interner
 /// ([`Enc::interned`]), strings written via [`Enc::istr`] become table
 /// references and newly assigned ids accumulate in `defs` for the caller
@@ -203,16 +224,8 @@ impl<'a> Enc<'a> {
     }
 
     /// LEB128 unsigned varint.
-    fn varint(&mut self, mut v: u64) {
-        loop {
-            let byte = (v & 0x7F) as u8;
-            v >>= 7;
-            if v == 0 {
-                self.buf.push(byte);
-                return;
-            }
-            self.buf.push(byte | 0x80);
-        }
+    fn varint(&mut self, v: u64) {
+        put_varint(&mut self.buf, v);
     }
 
     /// Zigzag-encoded signed varint.
@@ -286,23 +299,14 @@ impl<'a> Enc<'a> {
     /// bits, and identical repeats collapse to one byte.
     fn f64s(&mut self, vs: &[f64]) {
         self.varint(vs.len() as u64);
-        let quarters: Option<Vec<i64>> = vs
-            .iter()
-            .map(|&v| {
-                let q = v * 4.0;
-                (q.abs() < (1i64 << 52) as f64
-                    && ((q as i64) as f64 / 4.0).to_bits() == v.to_bits())
-                .then_some(q as i64)
-            })
-            .collect();
-        match quarters {
-            Some(qs) => {
+        match vs.iter().all(|&v| quarter_steps(v).is_some()) {
+            true => {
                 self.u8(1);
-                for q in qs {
-                    self.zigzag(q);
+                for &v in vs {
+                    self.zigzag(quarter_steps(v).expect("every element checked"));
                 }
             }
-            None => {
+            false => {
                 self.u8(0);
                 let mut prev = 0u64;
                 for (i, &v) in vs.iter().enumerate() {
@@ -776,18 +780,22 @@ pub fn encode_frame(record: &TraceRecord) -> Vec<u8> {
 /// Builds a frame from raw parts (exposed so corruption tests can forge
 /// frames the writer would never produce).
 pub fn frame_with(kind: u8, version: u8, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(payload.len() + 9);
+    frame_into(&mut out, kind, version, payload);
+    out
+}
+
+/// [`frame_with`] into a reused buffer (cleared first).
+fn frame_into(out: &mut Vec<u8>, kind: u8, version: u8, payload: &[u8]) {
     assert!(payload.len() <= MAX_RECORD_LEN, "record exceeds cap");
-    let mut head = Enc::default();
-    head.u8(kind);
-    head.u8(version);
-    head.varint(payload.len() as u64);
-    let mut out = Vec::with_capacity(payload.len() + head.buf.len() + 5);
+    out.clear();
     out.push(MARKER);
-    out.extend_from_slice(&head.buf);
+    out.push(kind);
+    out.push(version);
+    put_varint(out, payload.len() as u64);
     out.extend_from_slice(payload);
     let crc = crc32(&out[1..]);
     out.extend_from_slice(&crc.to_le_bytes());
-    out
 }
 
 /// The file header every binary trace starts with.
@@ -818,11 +826,14 @@ fn decode_payload(
 // ── Writer ──────────────────────────────────────────────────────────────
 
 /// The sink's state under one lock: output stream plus the interner whose
-/// ids the stream's frames reference.
+/// ids the stream's frames reference, and the payload and frame buffers
+/// every record reuses.
 #[derive(Debug)]
 struct BinState {
     out: BufWriter<File>,
     intern: Interner,
+    payload: Vec<u8>,
+    frame: Vec<u8>,
 }
 
 /// Streaming binary trace writer: an [`EventSink`] that appends one frame
@@ -852,29 +863,40 @@ impl BinSink {
                 BinState {
                     out,
                     intern: Interner::default(),
+                    payload: Vec::new(),
+                    frame: Vec::new(),
                 },
             ),
         })
     }
 
-    /// Encodes and appends one record frame, preceded by strdef frames for
-    /// any strings this record interned first.
-    fn write_record(&self, what: &str, record: &TraceRecord) {
+    /// Appends one record frame, preceded by strdef frames for any strings
+    /// this record interned first. `encode` writes the payload straight
+    /// from the caller's borrowed record and returns its frame kind.
+    fn write_record(&self, what: &str, encode: impl FnOnce(&mut Enc) -> u8) {
         let mut state = self.state.lock();
-        let BinState { out, intern } = &mut *state;
+        let BinState {
+            out,
+            intern,
+            payload,
+            frame,
+        } = &mut *state;
         let mut enc = Enc::interned(intern);
-        let kind = encode_payload(record, &mut enc);
+        enc.buf = std::mem::take(payload);
+        enc.buf.clear();
+        let kind = encode(&mut enc);
         let Enc { buf, defs, .. } = enc;
         let mut result = Ok(());
         for (id, s) in &defs {
             let mut def = Enc::default();
             def.varint(u64::from(*id));
             def.buf.extend_from_slice(s.as_bytes());
-            let frame = frame_with(KIND_STRDEF, SCHEMA_VERSION as u8, &def.buf);
-            result = result.and_then(|()| out.write_all(&frame));
+            frame_into(frame, KIND_STRDEF, SCHEMA_VERSION as u8, &def.buf);
+            result = result.and_then(|()| out.write_all(frame));
         }
-        let frame = frame_with(kind, SCHEMA_VERSION as u8, &buf);
-        result = result.and_then(|()| out.write_all(&frame));
+        frame_into(frame, kind, SCHEMA_VERSION as u8, &buf);
+        result = result.and_then(|()| out.write_all(frame));
+        *payload = buf;
         if let Err(e) = result {
             note_write_error("BinSink", what, &e);
         }
@@ -883,18 +905,24 @@ impl BinSink {
 
 impl EventSink for BinSink {
     fn emit(&self, event: &Event) {
-        self.write_record("event", &TraceRecord::Event(event.clone()));
+        self.write_record("event", |enc| {
+            encode_event(event, enc);
+            KIND_EVENT
+        });
     }
 
     fn emit_decision(&self, record: &DecisionRecord) {
-        self.write_record(
-            "decision record",
-            &TraceRecord::Decision(Box::new(record.clone())),
-        );
+        self.write_record("decision record", |enc| {
+            encode_decision(record, enc);
+            KIND_DECISION
+        });
     }
 
     fn write_snapshot(&self, snapshot: &Snapshot) {
-        self.write_record("snapshot", &TraceRecord::Snapshot(snapshot.clone()));
+        self.write_record("snapshot", |enc| {
+            encode_snapshot(snapshot, enc);
+            KIND_SNAPSHOT
+        });
     }
 
     fn flush(&self) {
@@ -1331,6 +1359,54 @@ mod tests {
         encode_event(&sample_event(), &mut enc);
         enc.u8(0xFF); // one stray trailing byte
         assert!(decode_payload(KIND_EVENT, SCHEMA_VERSION as u8, &enc.buf, &[]).is_err());
+    }
+
+    #[test]
+    fn bin_sink_writes_the_bytes_of_a_fresh_encode_of_each_record() {
+        // The sink encodes from the borrowed record into payload and frame
+        // buffers it reuses; its file must hold exactly the frames of
+        // encoding every record afresh, long records before short ones
+        // included.
+        let mut snapshot = Snapshot::default();
+        snapshot.counters.insert("binfmt.test".into(), 3);
+        let records = [
+            TraceRecord::Decision(Box::new(sample_decision())),
+            TraceRecord::Event(sample_event()),
+            TraceRecord::Decision(Box::new(sample_decision())),
+            TraceRecord::Snapshot(snapshot),
+        ];
+        let path = std::env::temp_dir().join(format!("binfmt-reuse-{}.bin", std::process::id()));
+        let sink = BinSink::create(&path).expect("create trace");
+        for record in &records {
+            match record {
+                TraceRecord::Event(e) => sink.emit(e),
+                TraceRecord::Decision(d) => sink.emit_decision(d),
+                TraceRecord::Snapshot(s) => sink.write_snapshot(s),
+            }
+        }
+        sink.flush();
+        let written = std::fs::read(&path).expect("read trace");
+        std::fs::remove_file(&path).ok();
+
+        let mut intern = Interner::default();
+        let mut expected = file_header();
+        for record in &records {
+            let mut enc = Enc::interned(&mut intern);
+            let kind = encode_payload(record, &mut enc);
+            let Enc { buf, defs, .. } = enc;
+            for (id, s) in defs {
+                let mut def = Enc::default();
+                def.varint(u64::from(id));
+                def.buf.extend_from_slice(s.as_bytes());
+                expected.extend_from_slice(&frame_with(
+                    KIND_STRDEF,
+                    SCHEMA_VERSION as u8,
+                    &def.buf,
+                ));
+            }
+            expected.extend_from_slice(&frame_with(kind, SCHEMA_VERSION as u8, &buf));
+        }
+        assert_eq!(written, expected);
     }
 
     #[test]

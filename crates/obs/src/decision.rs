@@ -34,10 +34,14 @@ use std::sync::OnceLock;
 ///
 /// History: 1 = events + snapshot (PR 2/4, unstamped); 2 = stamped lines
 /// plus `"decision"` records; 3 = decision records carry `kernel_path`
-/// (the estimator arithmetic: `"f64"`/`"f32"`/`"q15"`). Version-2 decision
-/// records are still readable: their kernel path defaults to `"f64"`, the
-/// only arithmetic that existed then.
-pub const SCHEMA_VERSION: u64 = 3;
+/// (the estimator arithmetic: `"f64"`/`"f32"`/`"q15"`); 4 = on the
+/// `"f32"`/`"q15"` paths the kernel fields (`p_snr`, `p_rssi`,
+/// `top_cells`, `top_weights`, `energy_max`) come from the reduced-precision
+/// kernel that decided, where version 3 carried the f64 kernel's values
+/// next to that kernel's estimate. The line and frame shapes are those of
+/// version 3. Version-2 decision records are still readable: their kernel
+/// path defaults to `"f64"`, the only arithmetic that existed then.
+pub const SCHEMA_VERSION: u64 = 4;
 
 /// Sentinel for "no sector" in the numeric sector fields.
 pub const NO_SECTOR: i64 = -1;
@@ -300,7 +304,10 @@ mod tests {
         rec.chosen_sector = 9;
         let json = rec.to_line().to_json();
         assert!(json.contains("\"kind\":\"decision\""), "{json}");
-        assert!(json.contains("\"schema_version\":3"), "{json}");
+        assert!(
+            json.contains(&format!("\"schema_version\":{SCHEMA_VERSION}")),
+            "{json}"
+        );
         assert!(json.contains("\"kernel_path\":\"f64\""), "{json}");
         let back: DecisionRecord =
             Deserialize::deserialize(&Value::from_json(&json).unwrap()).unwrap();

@@ -138,10 +138,10 @@ impl SpanSlot {
         gen
     }
 
-    /// Owner-side push. Relaxed data stores are safe: each frame is a
-    /// single atomic word, and the generation protocol orders them
-    /// against the sampler's reads.
-    fn push(&self, id: u32) {
+    /// Owner-side push; returns the depth the frame went in at. Relaxed
+    /// data stores are safe: each frame is a single atomic word, and the
+    /// generation protocol orders them against the sampler's reads.
+    fn push(&self, id: u32) -> usize {
         let depth = self.depth.load(Ordering::Relaxed);
         let gen = self.write_begin();
         if depth < MAX_FRAMES {
@@ -151,18 +151,20 @@ impl SpanSlot {
         }
         self.depth.store(depth + 1, Ordering::Relaxed);
         self.generation.store(gen + 2, Ordering::Release);
+        depth
     }
 
-    /// Owner-side pop. Tolerates pops past empty (a span that started
-    /// before the profiler did does not publish, so it must not unpublish
-    /// either — the caller tracks that with [`handle_push`]'s return).
-    fn pop(&self) {
-        let depth = self.depth.load(Ordering::Relaxed);
-        if depth == 0 {
+    /// Owner-side pop of the frame pushed at depth `at`, together with
+    /// every frame above it: the stack shrinks back to exactly `at`. A
+    /// span dropped out of order thus takes the frames of the spans it
+    /// enclosed with it rather than popping a sibling's frame; those
+    /// spans' own pops then find their frames gone and do nothing.
+    fn pop_to(&self, at: usize) {
+        if self.depth.load(Ordering::Relaxed) <= at {
             return;
         }
         let gen = self.write_begin();
-        self.depth.store(depth - 1, Ordering::Relaxed);
+        self.depth.store(at, Ordering::Relaxed);
         self.generation.store(gen + 2, Ordering::Release);
     }
 
@@ -265,34 +267,34 @@ thread_local! {
 }
 
 /// Span-start hook: publishes `stage` onto this thread's slot when a
-/// profiler is running. Returns whether a frame was pushed — the span
-/// must call [`handle_pop`] on drop iff this returned `true`, so spans
-/// that straddle profiler start/stop stay balanced.
+/// profiler is running. Returns the depth the frame was pushed at — the
+/// span must call [`handle_pop`] with it on drop iff a frame was pushed,
+/// so spans that straddle profiler start/stop stay balanced.
 #[inline]
-pub(crate) fn handle_push(stage: &'static str) -> bool {
+pub(crate) fn handle_push(stage: &'static str) -> Option<usize> {
     if !enabled() {
-        return false;
+        return None;
     }
-    publish_push(stage)
+    Some(publish_push(stage))
 }
 
 /// The out-of-line publish body (kept separate so the disabled path stays
 /// a load + branch).
-fn publish_push(stage: &'static str) -> bool {
+fn publish_push(stage: &'static str) -> usize {
     THREAD_SLOT.with(|cell| {
         let mut cell = cell.borrow_mut();
         let ts = cell.get_or_insert_with(ThreadSlot::register);
         let id = ts.stage_id(stage);
-        ts.slot.push(id);
-        true
+        ts.slot.push(id)
     })
 }
 
-/// Span-drop hook paired with a [`handle_push`] that returned `true`.
-pub(crate) fn handle_pop() {
+/// Span-drop hook paired with a [`handle_push`] that pushed at depth `at`:
+/// shrinks the stack back to `at`, whatever the order spans drop in.
+pub(crate) fn handle_pop(at: usize) {
     THREAD_SLOT.with(|cell| {
         if let Some(ts) = cell.borrow_mut().as_ref() {
-            ts.slot.pop();
+            ts.slot.pop_to(at);
         }
     });
 }
@@ -506,6 +508,14 @@ impl std::fmt::Debug for Profiler {
     }
 }
 
+/// Serializes this crate's tests that start a profiler: a test holding
+/// it knows the publish gate stays off until it starts one itself.
+#[cfg(test)]
+pub(crate) fn test_lock() -> parking_lot::MutexGuard<'static, ()> {
+    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
+    LOCK.get_or_init(|| Mutex::new(())).lock()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -516,11 +526,25 @@ mod tests {
         Profiler::start(Duration::from_secs(3600))
     }
 
+    /// This thread's published stack, outermost first.
+    fn published() -> Vec<&'static str> {
+        THREAD_SLOT.with(|cell| {
+            let cell = cell.borrow();
+            let Some(ts) = cell.as_ref() else {
+                return Vec::new();
+            };
+            let depth = ts.slot.depth.load(Ordering::Relaxed).min(MAX_FRAMES);
+            (0..depth)
+                .map(|i| stage_name(ts.slot.frames[i].load(Ordering::Relaxed)))
+                .collect()
+        })
+    }
+
     #[test]
     fn publish_gate_is_off_by_default_and_tracks_profilers() {
-        // Other tests may hold a profiler; tolerate a racing gate but
-        // verify the nesting arithmetic against our own contribution.
+        let _lock = test_lock();
         let before = ACTIVE_PROFILERS.load(Ordering::Relaxed);
+        assert_eq!(before, 0, "no other profiler runs under the lock");
         let p1 = manual_profiler();
         let p2 = manual_profiler();
         assert!(enabled());
@@ -533,6 +557,7 @@ mod tests {
 
     #[test]
     fn sampler_sees_the_published_stack() {
+        let _lock = test_lock();
         let prof = manual_profiler();
         let _outer = crate::span("prof.test.outer");
         let _inner = crate::span("prof.test.inner");
@@ -548,6 +573,7 @@ mod tests {
 
     #[test]
     fn folded_since_reports_only_the_window() {
+        let _lock = test_lock();
         let prof = manual_profiler();
         {
             let _a = crate::span("prof.test.before");
@@ -577,7 +603,10 @@ mod tests {
     #[test]
     fn spans_open_across_profiler_start_do_not_corrupt_the_stack() {
         // `outer` starts unprofiled, so its drop must not pop `inner`'s
-        // frame (the push/pop pairing is tracked per span).
+        // frame (the push/pop pairing is tracked per span). The lock keeps
+        // every other profiler of this crate's tests off meanwhile.
+        let _lock = test_lock();
+        assert!(!enabled(), "publish gate off before this test's profiler");
         let outer = crate::span("prof.test.straddle_outer");
         let prof = manual_profiler();
         let inner = crate::span("prof.test.straddle_inner");
@@ -595,7 +624,70 @@ mod tests {
     }
 
     #[test]
+    fn out_of_order_drops_never_leave_a_dropped_frame_published() {
+        // A profiler ticking every millisecond runs for the whole test,
+        // so its sampler reads the slot while spans drop out of order.
+        let _lock = test_lock();
+        let prof = Profiler::start(Duration::from_millis(1));
+        let a = crate::span("prof.test.ooo_a");
+        let b = crate::span("prof.test.ooo_b");
+        let c = crate::span("prof.test.ooo_c");
+        assert_eq!(
+            published(),
+            ["prof.test.ooo_a", "prof.test.ooo_b", "prof.test.ooo_c"]
+        );
+        // `b` drops before the span it encloses: the stack shrinks back
+        // to the depth `b` pushed at, taking `c`'s frame with it, and
+        // never leaves `b` published under a live `c`.
+        drop(b);
+        assert_eq!(published(), ["prof.test.ooo_a"]);
+        let baseline = prof.folded();
+        prof.sample_now();
+        let window = prof.folded_since(&baseline);
+        assert!(
+            window.iter().any(|(p, _)| p == "prof.test.ooo_a"),
+            "{window:?}"
+        );
+        // `c`'s frame is already gone: its drop must not pop `a`'s.
+        drop(c);
+        assert_eq!(published(), ["prof.test.ooo_a"]);
+        // A span started now sits right above `a`, not above stale frames.
+        let d = crate::span("prof.test.ooo_d");
+        assert_eq!(published(), ["prof.test.ooo_a", "prof.test.ooo_d"]);
+        drop(a);
+        assert!(published().is_empty(), "{:?}", published());
+        drop(d);
+        assert!(published().is_empty(), "{:?}", published());
+        let e = crate::span("prof.test.ooo_e");
+        assert_eq!(published(), ["prof.test.ooo_e"]);
+        drop(e);
+        assert!(published().is_empty());
+        // Every sample, from the ticking thread or by hand, saw one of
+        // the stacks the spans really formed: never a frame of a span
+        // after it dropped.
+        let formed: Vec<String> = [
+            &["a"][..],
+            &["a", "b"],
+            &["a", "b", "c"],
+            &["a", "d"],
+            &["e"],
+        ]
+        .iter()
+        .map(|stack| {
+            let names: Vec<String> = stack.iter().map(|s| format!("prof.test.ooo_{s}")).collect();
+            names.join(";")
+        })
+        .collect();
+        for (path, _) in prof.folded() {
+            if path.contains("prof.test.ooo") {
+                assert!(formed.contains(&path), "stale frame sampled: {path}");
+            }
+        }
+    }
+
+    #[test]
     fn deep_stacks_truncate_without_corruption() {
+        let _lock = test_lock();
         let prof = manual_profiler();
         let spans: Vec<crate::Span> = (0..MAX_FRAMES + 4)
             .map(|_| crate::span("prof.test.deep"))
@@ -616,6 +708,7 @@ mod tests {
 
     #[test]
     fn sampler_thread_ticks_on_its_own() {
+        let _lock = test_lock();
         let prof = Profiler::start(Duration::from_millis(1));
         let _held = crate::span("prof.test.ticking");
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
@@ -627,6 +720,7 @@ mod tests {
 
     #[test]
     fn dead_thread_slots_are_garbage_collected() {
+        let _lock = test_lock();
         let prof = manual_profiler();
         std::thread::spawn(|| {
             let _s = crate::span("prof.test.transient");

@@ -42,10 +42,11 @@ pub struct Span {
     start_us: u64,
     ids: Option<SpanIds>,
     fields: Option<BTreeMap<String, f64>>,
-    /// Whether this span published a profiler frame (see [`crate::prof`]);
-    /// only then does the drop pop one, so spans straddling profiler
-    /// start/stop stay balanced.
-    profiled: bool,
+    /// The stack depth this span published its profiler frame at (see
+    /// [`crate::prof`]); only a span that published pops, back to that
+    /// depth, so spans straddling profiler start/stop or dropped out of
+    /// order never unpublish another span's frame.
+    prof_depth: Option<usize>,
 }
 
 impl Span {
@@ -60,7 +61,7 @@ impl Span {
             start_us: if recording { crate::now_us() } else { 0 },
             ids: recording.then(trace::begin_span),
             fields: recording.then(BTreeMap::new),
-            profiled: prof::handle_push(stage),
+            prof_depth: prof::handle_push(stage),
         }
     }
 
@@ -85,8 +86,8 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if self.profiled {
-            prof::handle_pop();
+        if let Some(at) = self.prof_depth {
+            prof::handle_pop(at);
         }
         let dur_us = self.start.elapsed().as_micros() as u64;
         stage_histogram(self.stage).record(dur_us);

@@ -8,15 +8,17 @@ fn talon() -> Command {
     Command::new(env!("CARGO_BIN_EXE_talon"))
 }
 
-fn workdir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("talon-cli-test-{}", std::process::id()));
+/// A temp directory of this test's own: tests run in parallel, and each
+/// removes its directory when done, so two tests must never share one.
+fn workdir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("talon-cli-test-{}-{test}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
     dir
 }
 
 #[test]
 fn full_cli_workflow() {
-    let dir = workdir();
+    let dir = workdir("workflow");
     let patterns = dir.join("patterns.txt");
     let dataset = dir.join("dataset.txt");
     let brd = dir.join("codebook.brd");
@@ -148,7 +150,7 @@ fn top_fails_fast_with_one_clear_line_when_endpoint_is_unreachable() {
 
 #[test]
 fn report_json_counts_kernel_paths_across_decisions() {
-    let dir = workdir();
+    let dir = workdir("kernel-paths");
     let trace = dir.join("kernel-paths.jsonl");
     let out = talon()
         .args([
