@@ -54,26 +54,12 @@
 //! The correlation `w = ⟨p,x⟩² / (‖p‖²‖x‖²)` is computed from the raw
 //! accumulators without square roots; the final per-link pass (energy
 //! prior, smoothing, argmax, parabolic refinement) always runs in f64.
-//!
-//! # Coarse-to-fine pruning
-//!
-//! [`PruneConfig`] enables a two-stage argmax in the spirit of
-//! Agile-Link's hierarchical search: score a `decimate`-strided coarse
-//! lattice first, then recompute exactly (same arithmetic as the full
-//! pass) only the neighbourhoods of the top-K coarse cells. Refined
-//! neighbourhoods are padded so the 3×3 smoothing ring and the parabolic
-//! neighbours of any selectable cell are always available; within the
-//! refined set the map values are bit-identical to the full pass, so the
-//! pruned argmax equals the full-grid argmax whenever the true peak lies
-//! in a refined neighbourhood (`tests/batch_golden.rs` proves this across
-//! seeded scenarios). The energy-prior normalizer is computed over the
-//! refined set only — a per-link constant factor that cannot move the
-//! argmax or the (scale-invariant) parabolic offset, but which makes
-//! pruned *scores* incomparable to full-grid scores.
+//! Every link is scored over the whole grid, as in the paper's estimator:
+//! one dense correlation and one argmax (Eqs. 2–5).
 
 use crate::estimator::{
-    parabolic_offset, report_scale, smooth_map_into, smooth_map_into_mul, top_cells_into,
-    CompressiveEstimator, CorrelationMode, EstimatorOptions, KernelClosure, KernelPath,
+    parabolic_offset, report_scale, smooth_map_into, top_cells_into, CompressiveEstimator,
+    CorrelationMode, EstimatorOptions, KernelClosure, KernelPath,
 };
 use chamber::SectorPatterns;
 use geom::sphere::Direction;
@@ -248,17 +234,13 @@ fn lane_width(rem: usize, forced: Option<usize>) -> usize {
     }
 }
 
-/// Sweeps the panel against a set of grid cells, writing the correlation
-/// `w` (prior-tilted when `prior` is set) of every (cell, link) pair and
-/// folding each link's running maximum pattern energy `max_g ‖x_g‖²`
-/// into `vv_max` (cells ascending — the same fold order, hence the same
-/// bits, as a scan over a materialized energy row would produce).
-///
-/// `cells` yields `(grid_index, out_index)`; outputs land link-major at
-/// `out[b * out_stride + out_index]`. The full pass uses the identity
-/// mapping over the whole grid; the coarse pruning pass maps lattice
-/// cells to compact indices; per-link refinement passes a single-link
-/// range `b_lo..b_lo+1` over a sparse candidate list.
+/// Sweeps the panel of `bt` links against the whole grid, writing the
+/// correlation `w` (prior-tilted when `prior` is set) of every (cell,
+/// link) pair link-major into `maps[b * n_grid + g]`, and folding each
+/// link's maximum pattern energy `max_g ‖x_g‖²` into `vv_max` (cells
+/// ascending — the same fold order, hence the same bits, as a scan over a
+/// materialized energy row would produce). `vvm` is the fold's `W`-width
+/// scratch.
 ///
 /// Three flop-count tricks, all argmax-preserving:
 ///
@@ -285,21 +267,17 @@ fn sweep_panel<T: PanelElem>(
     joint: bool,
     prior: bool,
     pnl: &[T],
-    stride: usize,
-    cells: impl Iterator<Item = (usize, usize)>,
-    b_lo: usize,
-    b_hi: usize,
-    out_stride: usize,
+    bt: usize,
     forced: Option<usize>,
     maps: &mut [f64],
+    vvm: &mut Vec<T::W>,
     vv_max: &mut [f64],
 ) {
     /// One (cell, lane-group) tail. The running energy max folds in `W`
-    /// width into the caller's per-lane-group accumulator — for `F64`
-    /// and `F32` bit-equal to an f64 fold (the f32→f64 conversion is
-    /// exact and `max` commutes with it); for `Q15` the i32→f32 rounding
-    /// perturbs the normalizer by ≤ 6e-8 relative, noise against that
-    /// path's 0.05 gate.
+    /// width into the per-link `vvm` — for `F64` and `F32` bit-equal to
+    /// an f64 fold (the f32→f64 conversion is exact and `max` commutes
+    /// with it); for `Q15` the i32→f32 rounding perturbs the normalizer
+    /// by ≤ 6e-8 relative, noise against that path's 0.05 gate.
     /// Monomorphized over mode and prior so the per-lane loop is
     /// branch-free: the dark-cell guard selects the *denominator* (1 for
     /// dark cells, whose numerator is exactly 0 — no probed sector is
@@ -313,13 +291,14 @@ fn sweep_panel<T: PanelElem>(
         rows: &[u16],
         pnl: &[T],
         b0: usize,
-        stride: usize,
-        oi: usize,
-        out_stride: usize,
+        bt: usize,
+        g: usize,
+        n_grid: usize,
         maps: &mut [f64],
         vvm: &mut [T::W],
     ) {
-        let (uvs, uvr, vv) = gemm_point::<T, L>(vals, rows, pnl, b0, stride, JOINT);
+        let (uvs, uvr, vv) = gemm_point::<T, L>(vals, rows, pnl, b0, bt, JOINT);
+        let vvm = &mut vvm[b0..b0 + L];
         let mut w = [T::W::ZERO; L];
         for l in 0..L {
             let vvw = T::to_w(vv[l]);
@@ -343,153 +322,57 @@ fn sweep_panel<T: PanelElem>(
             vvm[l] = vvm[l].max(vvw);
         }
         for l in 0..L {
-            maps[(b0 + l) * out_stride + oi] = w[l].to_f64();
+            maps[(b0 + l) * n_grid + g] = w[l].to_f64();
         }
     }
+    #[allow(clippy::too_many_arguments)]
     fn run<T: PanelElem, const JOINT: bool, const PRIOR: bool>(
         nz_vals: &[T],
         nz_rows: &[u16],
         nz_off: &[u32],
         pnl: &[T],
-        stride: usize,
-        cells: impl Iterator<Item = (usize, usize)>,
-        b_lo: usize,
-        b_hi: usize,
-        out_stride: usize,
+        bt: usize,
         forced: Option<usize>,
         maps: &mut [f64],
         vvm: &mut [T::W],
     ) {
-        for (g, oi) in cells {
+        let n_grid = nz_off.len() - 1;
+        for g in 0..n_grid {
             let (lo, hi) = (nz_off[g] as usize, nz_off[g + 1] as usize);
-            let vals = &nz_vals[lo..hi];
-            let rows = &nz_rows[lo..hi];
-            let mut b0 = b_lo;
-            while b0 < b_hi {
-                let vvm = &mut vvm[b0 - b_lo..];
-                match lane_width(b_hi - b0, forced) {
+            let (vals, rows) = (&nz_vals[lo..hi], &nz_rows[lo..hi]);
+            let mut b0 = 0;
+            while b0 < bt {
+                let lanes = lane_width(bt - b0, forced);
+                match lanes {
                     16 => {
-                        emit::<T, 16, JOINT, PRIOR>(
-                            vals,
-                            rows,
-                            pnl,
-                            b0,
-                            stride,
-                            oi,
-                            out_stride,
-                            maps,
-                            &mut vvm[..16],
-                        );
-                        b0 += 16;
+                        emit::<T, 16, JOINT, PRIOR>(vals, rows, pnl, b0, bt, g, n_grid, maps, vvm)
                     }
-                    8 => {
-                        emit::<T, 8, JOINT, PRIOR>(
-                            vals,
-                            rows,
-                            pnl,
-                            b0,
-                            stride,
-                            oi,
-                            out_stride,
-                            maps,
-                            &mut vvm[..8],
-                        );
-                        b0 += 8;
-                    }
-                    4 => {
-                        emit::<T, 4, JOINT, PRIOR>(
-                            vals,
-                            rows,
-                            pnl,
-                            b0,
-                            stride,
-                            oi,
-                            out_stride,
-                            maps,
-                            &mut vvm[..4],
-                        );
-                        b0 += 4;
-                    }
-                    _ => {
-                        emit::<T, 1, JOINT, PRIOR>(
-                            vals,
-                            rows,
-                            pnl,
-                            b0,
-                            stride,
-                            oi,
-                            out_stride,
-                            maps,
-                            &mut vvm[..1],
-                        );
-                        b0 += 1;
-                    }
+                    8 => emit::<T, 8, JOINT, PRIOR>(vals, rows, pnl, b0, bt, g, n_grid, maps, vvm),
+                    4 => emit::<T, 4, JOINT, PRIOR>(vals, rows, pnl, b0, bt, g, n_grid, maps, vvm),
+                    _ => emit::<T, 1, JOINT, PRIOR>(vals, rows, pnl, b0, bt, g, n_grid, maps, vvm),
                 }
+                b0 += lanes;
             }
         }
     }
-    let mut vvm = vec![T::W::ZERO; b_hi - b_lo];
-    #[allow(clippy::too_many_arguments)]
+    fit(vvm, bt, T::W::ZERO);
     match (joint, prior) {
-        (true, true) => run::<T, true, true>(
-            nz_vals, nz_rows, nz_off, pnl, stride, cells, b_lo, b_hi, out_stride, forced, maps,
-            &mut vvm,
-        ),
-        (true, false) => run::<T, true, false>(
-            nz_vals, nz_rows, nz_off, pnl, stride, cells, b_lo, b_hi, out_stride, forced, maps,
-            &mut vvm,
-        ),
-        (false, true) => run::<T, false, true>(
-            nz_vals, nz_rows, nz_off, pnl, stride, cells, b_lo, b_hi, out_stride, forced, maps,
-            &mut vvm,
-        ),
-        (false, false) => run::<T, false, false>(
-            nz_vals, nz_rows, nz_off, pnl, stride, cells, b_lo, b_hi, out_stride, forced, maps,
-            &mut vvm,
-        ),
-    }
-    // Merge the lane-group folds into the caller's per-link maxima (the
-    // f64 conversion is exact for every `W`, and `max(0, x) = x` for the
-    // non-negative energies, so this matches the old per-cell f64 fold).
-    for (i, m) in vvm.iter().enumerate() {
-        let b = b_lo + i;
-        vv_max[b] = vv_max[b].max(m.to_f64());
-    }
-}
-
-/// Coarse-to-fine pruning parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PruneConfig {
-    /// Stride of the coarse lattice along each grid axis (≥ 2 to prune).
-    pub decimate: usize,
-    /// Number of top-ranked coarse cells whose neighbourhoods are refined.
-    pub top_k: usize,
-}
-
-impl Default for PruneConfig {
-    fn default() -> Self {
-        PruneConfig {
-            decimate: 2,
-            top_k: 8,
+        (true, true) => run::<T, true, true>(nz_vals, nz_rows, nz_off, pnl, bt, forced, maps, vvm),
+        (true, false) => {
+            run::<T, true, false>(nz_vals, nz_rows, nz_off, pnl, bt, forced, maps, vvm)
+        }
+        (false, true) => {
+            run::<T, false, true>(nz_vals, nz_rows, nz_off, pnl, bt, forced, maps, vvm)
+        }
+        (false, false) => {
+            run::<T, false, false>(nz_vals, nz_rows, nz_off, pnl, bt, forced, maps, vvm)
         }
     }
-}
-
-/// Precomputed coarse lattice of a [`PruneConfig`] over a given grid.
-#[derive(Debug, Clone)]
-struct PrunePlan {
-    /// Full-grid indices of the decimated lattice cells, ascending.
-    coarse: Vec<u32>,
-    /// Neighbourhood half-widths (Chebyshev, in cells) around a selected
-    /// coarse cell: raw values computed, smoothing eligible, argmax
-    /// eligible. `r_raw = r_sm + 1 = r_sel + 2` guarantees every argmax
-    /// candidate has its full (border-clamped) smoothing ring and both
-    /// parabolic neighbours available.
-    r_sel: usize,
-    r_sm: usize,
-    r_raw: usize,
-    /// Refined candidates per selection.
-    top_k: usize,
+    // Merge the `W`-width folds into the per-link f64 maxima (exact for
+    // every `W`; `max(0, x) = x` for the non-negative energies).
+    for (m, &v) in vv_max.iter_mut().zip(vvm.iter()) {
+        *m = m.max(v.to_f64());
+    }
 }
 
 /// One link's estimate out of a batched sweep.
@@ -498,16 +381,14 @@ pub struct LinkEstimate {
     /// Estimated angle of arrival (sub-cell refined when enabled).
     pub direction: Direction,
     /// Final map weight of the winning cell (post prior and smoothing).
-    /// With pruning enabled the energy-prior normalizer is local to the
-    /// refined set, so scores are only comparable within one configuration.
     pub score: f64,
     /// Winning grid cell (pre-refinement argmax).
     pub cell: usize,
 }
 
 /// Reusable buffers of [`BatchEstimator::estimate_batch_into`]: probe
-/// panels for each precision, per-link norms, per-link correlation maps,
-/// and the pruning mark/candidate sets. A warm scratch allocates nothing.
+/// panels for each precision, per-link norms and energy maxima, and the
+/// per-link correlation maps. A warm scratch allocates nothing.
 #[derive(Debug, Default)]
 pub struct BatchScratch {
     // Sector-major interleaved panels (probe | shifted-RSSI | mask
@@ -523,24 +404,17 @@ pub struct BatchScratch {
     inv_u: Vec<f64>,
     /// Per-link usable (pattern-matched, unmasked) reading count.
     usable: Vec<u32>,
-    /// Link-major correlation maps (`maps[b * n_grid + g]`). In pruned
-    /// mode only marked cells hold live values.
+    /// Link-major correlation maps (`maps[b * n_grid + g]`).
     maps: Vec<f64>,
     /// Per-link maximum pattern energy `max_g ‖x_g‖²`, folded inside the
-    /// sweep (reset per link before the pruned refinement sweep, whose
-    /// normalizer is local to the candidate set).
+    /// sweep.
     vv_max: Vec<f64>,
+    // The sweep's `W`-width energy folds: f64 for `F64`, f32 for the
+    // reduced-precision paths.
+    vvm64: Vec<f64>,
+    vvm32: Vec<f32>,
     /// Per-link smoothing output (one grid).
     smoothed: Vec<f64>,
-    // Pruning state: coarse maps, ranked coarse cells, candidate list and
-    // stamp-based membership marks (no per-link clearing).
-    cmaps: Vec<f64>,
-    ranked: Vec<(f64, u32)>,
-    cand: Vec<u32>,
-    mark_raw: Vec<u32>,
-    mark_sm: Vec<u32>,
-    mark_sel: Vec<u32>,
-    stamp: u32,
     /// Cell-index buffer of the top-k selection (provenance path only).
     order: Vec<u32>,
 }
@@ -583,8 +457,6 @@ pub struct BatchEstimator {
     mode: CorrelationMode,
     /// Numerical options; `options.kernel_path` selects the arithmetic.
     options: EstimatorOptions,
-    /// Coarse-to-fine plan, when pruning is enabled and worthwhile.
-    prune: Option<PrunePlan>,
     /// Forced lane width (None = widest applicable); test/bench knob.
     forced_lanes: Option<usize>,
     /// Cached metric handles.
@@ -633,23 +505,10 @@ impl BatchEstimator {
             grid: est.grid().clone(),
             mode: est.mode,
             options: est.options,
-            prune: None,
             forced_lanes: None,
             ctr_links: obs::counter("css.batch_estimates"),
             ctr_sweeps: obs::counter("css.batch_sweeps"),
         }
-    }
-
-    /// Enables coarse-to-fine pruning (builder style). Falls back to the
-    /// full sweep when the configuration cannot prune (stride < 2), when
-    /// the grid is too small for the coarse stage to rank anything, or
-    /// when the estimated two-stage workload (coarse lattice + `top_k`
-    /// padded neighbourhoods) would not beat the dense sweep — on small
-    /// grids the "pruned" pass visits every cell anyway, at worse lane
-    /// utilization.
-    pub fn with_prune(mut self, cfg: PruneConfig) -> Self {
-        self.prune = Self::plan(&self.grid, cfg);
-        self
     }
 
     /// Forces a fixed inner-kernel lane width (1, 4 or 8); `None` restores
@@ -675,45 +534,6 @@ impl BatchEstimator {
         &self.grid
     }
 
-    /// Whether coarse-to-fine pruning is active.
-    pub fn prune_active(&self) -> bool {
-        self.prune.is_some()
-    }
-
-    fn plan(grid: &geom::sphere::SphericalGrid, cfg: PruneConfig) -> Option<PrunePlan> {
-        if cfg.decimate < 2 || cfg.top_k == 0 {
-            return None;
-        }
-        let (n_az, n_el) = (grid.az.len(), grid.el.len());
-        let mut coarse = Vec::new();
-        for e in (0..n_el).step_by(cfg.decimate) {
-            for a in (0..n_az).step_by(cfg.decimate) {
-                coarse.push((e * n_az + a) as u32);
-            }
-        }
-        // A coarse stage smaller than top_k refines everything anyway —
-        // the two-stage pass would only add overhead.
-        if coarse.len() <= cfg.top_k {
-            return None;
-        }
-        let r_raw = cfg.decimate + 3;
-        // Per-link workload estimate: the coarse stage plus `top_k`
-        // padded neighbourhoods, clamped per axis. When that does not
-        // beat the dense sweep (small grids), pruning is pure overhead —
-        // worse, the refinement runs at lane width 1 — so fall back.
-        let nbhd = (2 * r_raw + 1).min(n_az) * (2 * r_raw + 1).min(n_el);
-        if coarse.len() + cfg.top_k * nbhd >= grid.len() {
-            return None;
-        }
-        Some(PrunePlan {
-            coarse,
-            r_sel: cfg.decimate + 1,
-            r_sm: cfg.decimate + 2,
-            r_raw,
-            top_k: cfg.top_k,
-        })
-    }
-
     /// Estimates every link of the batch (allocating convenience wrapper
     /// over [`Self::estimate_batch_into`]).
     pub fn estimate_batch(
@@ -732,9 +552,8 @@ impl BatchEstimator {
     pub fn estimate_one(&self, readings: &[SweepReading]) -> Option<LinkEstimate> {
         THREAD_BATCH_SCRATCH.with(|s| {
             let mut s = s.borrow_mut();
-            let mut out = Vec::with_capacity(1);
-            self.estimate_batch_into(&mut s, &[readings], &mut out);
-            out[0]
+            let _span = self.sweep_links(&mut s, &[readings]);
+            self.finish_link(&mut s, 0)
         })
     }
 
@@ -750,24 +569,24 @@ impl BatchEstimator {
     ///
     /// A degenerate link records the first `k` cells at weight 0, as the
     /// f64 kernel's all-zero map does, and `energy_max` 0 when fewer than
-    /// two probes were usable. Dense estimators only: a pruned pass leaves
-    /// no full map to rank.
+    /// two probes were usable.
     pub fn estimate_one_recorded(
         &self,
         readings: &[SweepReading],
         k: usize,
     ) -> (Option<LinkEstimate>, KernelClosure) {
-        assert!(self.prune.is_none(), "recorded estimates need a dense pass");
         THREAD_BATCH_SCRATCH.with(|s| {
             let mut s = s.borrow_mut();
-            let mut out = Vec::with_capacity(1);
-            self.estimate_batch_into(&mut s, &[readings], &mut out);
-            (out[0], self.dense_closure(&mut s, readings, k))
+            let estimate = {
+                let _span = self.sweep_links(&mut s, &[readings]);
+                self.finish_link(&mut s, 0)
+            };
+            (estimate, self.link_closure(&mut s, readings, k))
         })
     }
 
-    /// The closure of link 0 after a dense single-link pass.
-    fn dense_closure(
+    /// The closure of link 0 after a single-link pass.
+    fn link_closure(
         &self,
         s: &mut BatchScratch,
         readings: &[SweepReading],
@@ -784,7 +603,7 @@ impl BatchEstimator {
             .map(|(_, vs, vr)| (as_correlated(vs), as_correlated(vr)))
             .unzip();
         let n_grid = self.grid.len();
-        let (top_cells, top_weights) = match self.dense_norm(s, 0) {
+        let (top_cells, top_weights) = match self.link_norm(s, 0) {
             Some(inv_norm) => {
                 let map = if self.options.smoothing {
                     &s.smoothed[..n_grid]
@@ -816,9 +635,9 @@ impl BatchEstimator {
     }
 
     /// The batched estimate: packs the links' probe panels, sweeps the
-    /// gains matrix once (full grid or coarse-to-fine), then finishes each
-    /// link (energy prior, smoothing, argmax, parabolic refinement) in
-    /// f64. `out` receives exactly one entry per link, in order.
+    /// gains matrix once, then finishes each link (energy prior,
+    /// smoothing, argmax, parabolic refinement) in f64. `out` receives
+    /// exactly one entry per link, in order.
     pub fn estimate_batch_into(
         &self,
         s: &mut BatchScratch,
@@ -826,31 +645,37 @@ impl BatchEstimator {
         out: &mut Vec<Option<LinkEstimate>>,
     ) {
         out.clear();
+        let _span = self.sweep_links(s, links);
+        for b in 0..links.len() {
+            out.push(self.finish_link(s, b));
+        }
+    }
+
+    /// Packs the links' panels and sweeps them over the whole grid,
+    /// leaving every link's map in `s.maps`. Returns the batch's trace
+    /// span (while a sink records), which the caller holds across the
+    /// per-link finish.
+    fn sweep_links(&self, s: &mut BatchScratch, links: &[&[SweepReading]]) -> Option<obs::Span> {
         let bt = links.len();
         if bt == 0 {
-            return;
+            return None;
         }
         self.ctr_sweeps.inc();
         self.ctr_links.add(bt as u64);
         let mut span = obs::sink_active().then(|| obs::span("css.estimate_batch"));
         if let Some(sp) = &mut span {
             sp.field("batch", bt as f64);
-            sp.field("pruned", u8::from(self.prune.is_some()) as f64);
         }
         let n_grid = self.grid.len();
         self.pack(s, links);
-        let need = bt * n_grid;
-        if s.maps.len() < need {
-            s.maps.resize(need, 0.0);
+        if s.maps.len() < bt * n_grid {
+            s.maps.resize(bt * n_grid, 0.0);
         }
         if s.smoothed.len() < n_grid {
             s.smoothed.resize(n_grid, 0.0);
         }
-        if self.prune.is_some() {
-            self.pruned_pass(s, links.len(), out);
-        } else {
-            self.full_pass(s, links.len(), out);
-        }
+        self.sweep(s, bt);
+        span
     }
 
     /// The usable probes of one sweep as the kernel gathers them, in
@@ -945,115 +770,86 @@ impl BatchEstimator {
         }
     }
 
-    /// Runs [`sweep_panel`] for the active path over `cells`.
-    #[allow(clippy::too_many_arguments)]
-    fn sweep(
-        &self,
-        s: &mut BatchScratch,
-        bt: usize,
-        cells: impl Iterator<Item = (usize, usize)>,
-        b_lo: usize,
-        b_hi: usize,
-        out_stride: usize,
-        coarse: bool,
-    ) {
+    /// Runs [`sweep_panel`] for the active path over the whole grid.
+    fn sweep(&self, s: &mut BatchScratch, bt: usize) {
         let joint = self.mode == CorrelationMode::JointSnrRssi;
         let prior = self.options.energy_prior;
         let forced = self.forced_lanes;
-        let maps = if coarse { &mut s.cmaps } else { &mut s.maps };
-        let vv_max = &mut s.vv_max;
+        let (maps, vv_max) = (&mut s.maps, &mut s.vv_max);
+        let (rows, off) = (&self.nz_rows, &self.nz_off);
         match self.options.kernel_path {
             KernelPath::F64 => sweep_panel(
                 &self.nzv64,
-                &self.nz_rows,
-                &self.nz_off,
+                rows,
+                off,
                 joint,
                 prior,
                 &s.pnl64,
                 bt,
-                cells,
-                b_lo,
-                b_hi,
-                out_stride,
                 forced,
                 maps,
+                &mut s.vvm64,
                 vv_max,
             ),
             KernelPath::F32 => sweep_panel(
                 &self.nzv32,
-                &self.nz_rows,
-                &self.nz_off,
+                rows,
+                off,
                 joint,
                 prior,
                 &s.pnl32,
                 bt,
-                cells,
-                b_lo,
-                b_hi,
-                out_stride,
                 forced,
                 maps,
+                &mut s.vvm32,
                 vv_max,
             ),
             KernelPath::Q15 => sweep_panel(
                 &self.nzv15,
-                &self.nz_rows,
-                &self.nz_off,
+                rows,
+                off,
                 joint,
                 prior,
                 &s.pnl15,
                 bt,
-                cells,
-                b_lo,
-                b_hi,
-                out_stride,
                 forced,
                 maps,
+                &mut s.vvm32,
                 vv_max,
             ),
         }
     }
 
-    /// Exhaustive pass: every grid cell for every link, then the dense
-    /// per-link finish.
-    fn full_pass(&self, s: &mut BatchScratch, bt: usize, out: &mut Vec<Option<LinkEstimate>>) {
-        let n_grid = self.grid.len();
-        self.sweep(s, bt, (0..n_grid).map(|g| (g, g)), 0, bt, n_grid, false);
-        for b in 0..bt {
-            out.push(self.finish_link_dense(s, b));
-        }
-    }
-
-    /// Finishes link `b` of a dense sweep up to the argmax input: the
-    /// sweep already wrote the prior-tilted (unnormalized) map, so only
+    /// Finishes link `b` of a sweep up to the argmax input: the sweep
+    /// already wrote the prior-tilted (unnormalized) map, so only
     /// smoothing runs here, leaving the argmax input in `s.smoothed`
     /// (smoothing on) or the link's `s.maps` window (off). Returns the
-    /// per-link score normalizer `vv_max^{-1/8}` — the deferred constant
-    /// factor of the energy prior `(vv/vv_max)^{1/8}` (1.0 with the prior
-    /// off) — or `None` when the link is degenerate (fewer than two
-    /// usable probes, or zero expected energy everywhere).
-    fn dense_finalize(&self, s: &mut BatchScratch, b: usize) -> Option<f64> {
-        let inv_norm = self.dense_norm(s, b)?;
+    /// per-link score normalizer (see [`Self::link_norm`]), or `None` when
+    /// the link is degenerate.
+    fn smooth_link(&self, s: &mut BatchScratch, b: usize) -> Option<f64> {
+        let inv_norm = self.link_norm(s, b)?;
         let n_grid = self.grid.len();
-        let base = b * n_grid;
-        let map = &s.maps[base..base + n_grid];
+        let map = &s.maps[b * n_grid..(b + 1) * n_grid];
         if self.options.smoothing {
             // The F64 path keeps division-form smoothing (bit parity with
             // the scalar kernel and recorded traces); the quantized paths
-            // take the reciprocal-multiply variant, whose one-ulp drift
-            // is invisible at their documented tolerances.
+            // take the reciprocal-multiply form, whose one-ulp drift is
+            // invisible at their documented tolerances.
             let (n_az, n_el) = (self.grid.az.len(), self.grid.el.len());
             match self.options.kernel_path {
-                KernelPath::F64 => smooth_map_into(map, n_az, n_el, &mut s.smoothed),
-                _ => smooth_map_into_mul(map, n_az, n_el, &mut s.smoothed),
+                KernelPath::F64 => smooth_map_into::<false>(map, n_az, n_el, &mut s.smoothed),
+                _ => smooth_map_into::<true>(map, n_az, n_el, &mut s.smoothed),
             }
         }
         Some(inv_norm)
     }
 
-    /// The score normalizer of link `b` of a dense sweep (see
-    /// [`Self::dense_finalize`]), or `None` when the link is degenerate.
-    fn dense_norm(&self, s: &BatchScratch, b: usize) -> Option<f64> {
+    /// The score normalizer of link `b`: the deferred probe-norm factor
+    /// `inv_u` times, with the energy prior on, the deferred constant
+    /// `vv_max^{-1/8}` of the prior `(vv/vv_max)^{1/8}`. `None` when the
+    /// link is degenerate (fewer than two usable probes, or zero expected
+    /// energy everywhere).
+    fn link_norm(&self, s: &BatchScratch, b: usize) -> Option<f64> {
         if s.usable[b] < 2 || s.inv_u[b] == 0.0 {
             // A degenerate probe norm zeroes the scalar kernel's whole
             // map, which can never win the `> 0` argmax check — bail
@@ -1071,17 +867,16 @@ impl BatchEstimator {
         })
     }
 
-    /// Per-link dense finish: energy prior, smoothing, argmax, parabolic
+    /// Per-link finish: energy prior, smoothing, argmax, parabolic
     /// refinement — identical logic (and, on the `F64` path, matching
     /// arithmetic to ≤ 1e-12) to the scalar `estimate_with`.
-    fn finish_link_dense(&self, s: &mut BatchScratch, b: usize) -> Option<LinkEstimate> {
-        let inv_norm = self.dense_finalize(s, b)?;
+    fn finish_link(&self, s: &mut BatchScratch, b: usize) -> Option<LinkEstimate> {
+        let inv_norm = self.smooth_link(s, b)?;
         let n_grid = self.grid.len();
-        let base = b * n_grid;
         let final_map: &[f64] = if self.options.smoothing {
-            &s.smoothed
+            &s.smoothed[..n_grid]
         } else {
-            &s.maps[base..base + n_grid]
+            &s.maps[b * n_grid..(b + 1) * n_grid]
         };
         // Two-pass branchless argmax: an 8-lane max fold (maps are
         // NaN-free, so `max` is order-insensitive and the split chain
@@ -1109,261 +904,92 @@ impl BatchEstimator {
         if best_w <= 0.0 {
             return None;
         }
-        Some(self.refine(best_i, best_w, inv_norm, |i| Some(final_map[i])))
+        Some(refine(
+            &self.grid,
+            self.options.subcell_refinement,
+            final_map,
+            best_i,
+            best_w,
+            inv_norm,
+        ))
     }
 
-    /// Dense final correlation map of a single link — the exact argmax
-    /// input of the unpruned finish, on the active kernel path. With the
-    /// energy prior on, values carry the *unnormalized* tilt `w·vv^{1/8}`
-    /// (the per-link `vv_max^{-1/8}` normalizer is deferred to the
-    /// reported score and never materialized in the map). `None` when the
-    /// link is degenerate. Meant for golden tests and debugging (ignores
-    /// any prune configuration); production callers want
-    /// [`Self::estimate_batch`].
+    /// Final correlation map of a single link — the exact argmax input of
+    /// the finish, on the active kernel path. With the energy prior on,
+    /// values carry the *unnormalized* tilt `w·vv^{1/8}` (the per-link
+    /// `vv_max^{-1/8}` normalizer is deferred to the reported score and
+    /// never materialized in the map). `None` when the link is
+    /// degenerate. Meant for golden tests and debugging; production
+    /// callers want [`Self::estimate_batch`].
     pub fn final_map_one(
         &self,
         s: &mut BatchScratch,
         readings: &[SweepReading],
     ) -> Option<Vec<f64>> {
-        let links: [&[SweepReading]; 1] = [readings];
         let n_grid = self.grid.len();
-        self.pack(s, &links);
-        if s.maps.len() < n_grid {
-            s.maps.resize(n_grid, 0.0);
-        }
-        if s.smoothed.len() < n_grid {
-            s.smoothed.resize(n_grid, 0.0);
-        }
-        self.sweep(s, 1, (0..n_grid).map(|g| (g, g)), 0, 1, n_grid, false);
-        self.dense_finalize(s, 0)?;
+        self.sweep_links(s, &[readings]);
+        self.smooth_link(s, 0)?;
         Some(if self.options.smoothing {
             s.smoothed[..n_grid].to_vec()
         } else {
             s.maps[..n_grid].to_vec()
         })
     }
+}
 
-    /// Coarse-to-fine pass: rank the decimated lattice per link, then
-    /// recompute only the top-K neighbourhoods with the exact full-pass
-    /// arithmetic.
-    fn pruned_pass(&self, s: &mut BatchScratch, bt: usize, out: &mut Vec<Option<LinkEstimate>>) {
-        let plan = self.prune.as_ref().expect("pruned_pass requires a plan");
-        let n_grid = self.grid.len();
-        let (n_az, n_el) = (self.grid.az.len(), self.grid.el.len());
-        let n_c = plan.coarse.len();
-        let need = bt * n_c;
-        if s.cmaps.len() < need {
-            s.cmaps.resize(need, 0.0);
-        }
-        if s.mark_raw.len() < n_grid {
-            s.mark_raw.resize(n_grid, 0);
-            s.mark_sm.resize(n_grid, 0);
-            s.mark_sel.resize(n_grid, 0);
-        }
-        // Stage 1: score the whole coarse lattice for every link in one
-        // batched sweep.
-        let coarse_cells = plan
-            .coarse
-            .iter()
-            .enumerate()
-            .map(|(ci, &g)| (g as usize, ci));
-        self.sweep(s, bt, coarse_cells, 0, bt, n_c, true);
-        for b in 0..bt {
-            out.push(self.finish_link_pruned(s, b, bt, plan, n_az, n_el));
-        }
-    }
+/// The sub-cell offsets `(az, el)`, in cells ∈ [−0.5, 0.5], of the
+/// parabolas through the argmax `best_i` of `map` and its azimuth and
+/// elevation neighbours; 0 on an axis where the cell sits on the grid
+/// border.
+pub(crate) fn subcell_offsets(
+    grid: &geom::sphere::SphericalGrid,
+    map: &[f64],
+    best_i: usize,
+    best_w: f64,
+) -> (f64, f64) {
+    let n_az = grid.az.len();
+    let (el_i, az_i) = (best_i / n_az, best_i % n_az);
+    let az_off = if az_i > 0 && az_i + 1 < n_az {
+        parabolic_offset(map[best_i - 1], best_w, map[best_i + 1])
+    } else {
+        0.0
+    };
+    let el_off = if el_i > 0 && el_i + 1 < grid.el.len() {
+        parabolic_offset(map[best_i - n_az], best_w, map[best_i + n_az])
+    } else {
+        0.0
+    };
+    (az_off, el_off)
+}
 
-    /// Stage 2 for one link: select top-K coarse cells, mark their padded
-    /// neighbourhoods, recompute those cells exactly, and run the usual
-    /// finish restricted to the marked sets.
-    fn finish_link_pruned(
-        &self,
-        s: &mut BatchScratch,
-        b: usize,
-        bt: usize,
-        plan: &PrunePlan,
-        n_az: usize,
-        n_el: usize,
-    ) -> Option<LinkEstimate> {
-        if s.usable[b] < 2 || s.inv_u[b] == 0.0 {
-            // Same degenerate-probe-norm bail as the dense finish.
-            return None;
-        }
-        let n_grid = self.grid.len();
-        let n_c = plan.coarse.len();
-        // Rank coarse cells directly on the sweep output: with the prior
-        // on it is already the *unnormalized* tilt `w·vv^{1/8}`, and the
-        // normalizer is a per-link constant — it cannot reorder cells.
-        s.ranked.clear();
-        for (ci, &g) in plan.coarse.iter().enumerate() {
-            s.ranked.push((s.cmaps[b * n_c + ci], g));
-        }
-        s.ranked.sort_by(|x, y| {
-            y.0.partial_cmp(&x.0)
-                .expect("correlation is finite")
-                .then(x.1.cmp(&y.1))
-        });
-        s.ranked.truncate(plan.top_k);
-        // Mark the padded neighbourhood of every selected coarse cell.
-        s.stamp = s.stamp.wrapping_add(1);
-        let stamp = s.stamp;
-        s.cand.clear();
-        for &(_, g) in &s.ranked {
-            let (e0, a0) = (g as usize / n_az, g as usize % n_az);
-            for e in e0.saturating_sub(plan.r_raw)..=(e0 + plan.r_raw).min(n_el - 1) {
-                for a in a0.saturating_sub(plan.r_raw)..=(a0 + plan.r_raw).min(n_az - 1) {
-                    let gg = e * n_az + a;
-                    if s.mark_raw[gg] != stamp {
-                        s.mark_raw[gg] = stamp;
-                        s.cand.push(gg as u32);
-                    }
-                    let d = e.abs_diff(e0).max(a.abs_diff(a0));
-                    if d <= plan.r_sm {
-                        s.mark_sm[gg] = stamp;
-                    }
-                    if d <= plan.r_sel {
-                        s.mark_sel[gg] = stamp;
-                    }
-                }
-            }
-        }
-        s.cand.sort_unstable();
-        // Recompute the candidate cells with the exact full-pass
-        // arithmetic (same kernel, lane width 1 for a single link). The
-        // per-link energy max is reset first so the sweep folds the
-        // *local* maximum over exactly the candidate set (ascending, the
-        // same order a scan over materialized energies would use).
-        let cand = std::mem::take(&mut s.cand);
-        s.vv_max[b] = 0.0;
-        self.sweep(
-            s,
-            bt,
-            cand.iter().map(|&g| (g as usize, g as usize)),
-            b,
-            b + 1,
-            n_grid,
-            false,
-        );
-        s.cand = cand;
-        let base = b * n_grid;
-        let vv_max = s.vv_max[b];
-        if vv_max.sqrt() <= f64::EPSILON {
-            return None;
-        }
-        // The sweep already wrote the prior-tilted maps; the deferred
-        // probe-norm factor and the prior normalizer (local to the
-        // refined set — see `LinkEstimate::score`) apply to the winning
-        // score at the end.
-        let inv_norm = if self.options.energy_prior {
-            s.inv_u[b] / vv_max.sqrt().sqrt().sqrt()
-        } else {
-            s.inv_u[b]
-        };
-        // Smoothing over the eligible cells; the (border-clamped) 3×3
-        // ring of an `r_sm` cell lies inside the `r_raw` set.
-        if self.options.smoothing {
-            for &g in &s.cand {
-                let g = g as usize;
-                if s.mark_sm[g] != stamp {
-                    continue;
-                }
-                let (e, a) = (g / n_az, g % n_az);
-                let mut acc = 0.0;
-                let mut cnt = 0.0;
-                for de in e.saturating_sub(1)..=(e + 1).min(n_el - 1) {
-                    for da in a.saturating_sub(1)..=(a + 1).min(n_az - 1) {
-                        acc += s.maps[base + de * n_az + da];
-                        cnt += 1.0;
-                    }
-                }
-                s.smoothed[g] = acc / cnt;
-            }
-        }
-        // Argmax over the selection-eligible cells, ascending index with
-        // `>=` replacement — the same last-max tie-break as `max_by`.
-        let mut best: Option<(usize, f64)> = None;
-        for &g in &s.cand {
-            let g = g as usize;
-            if s.mark_sel[g] != stamp {
-                continue;
-            }
-            let w = if self.options.smoothing {
-                s.smoothed[g]
-            } else {
-                s.maps[base + g]
-            };
-            best = match best {
-                Some((_, bw)) if w < bw => best,
-                _ => Some((g, w)),
-            };
-        }
-        let (best_i, best_w) = best?;
-        if best_w <= 0.0 {
-            return None;
-        }
-        let smoothing = self.options.smoothing;
-        let maps = &s.maps;
-        let smoothed = &s.smoothed;
-        let mark_sm = &s.mark_sm;
-        let mark_raw = &s.mark_raw;
-        let value_at = |i: usize| {
-            if smoothing {
-                (mark_sm[i] == stamp).then(|| smoothed[i])
-            } else {
-                (mark_raw[i] == stamp).then(|| maps[base + i])
-            }
-        };
-        Some(self.refine(best_i, best_w, inv_norm, value_at))
-    }
-
-    /// Parabolic sub-cell refinement shared by the dense and pruned
-    /// finishes. `value_at` yields the final-map value of a neighbour cell
-    /// (None = unavailable, treated like a grid border: no refinement on
-    /// that axis — the pruned padding makes this unreachable in practice).
-    /// `best_w` and the neighbour values share the map's unnormalized
-    /// scale (the parabolic offset is scale-invariant); `inv_norm` is the
-    /// deferred per-link prior normalizer applied to the reported score.
-    fn refine(
-        &self,
-        best_i: usize,
-        best_w: f64,
-        inv_norm: f64,
-        value_at: impl Fn(usize) -> Option<f64>,
-    ) -> LinkEstimate {
-        let n_az = self.grid.az.len();
-        let (el_i, az_i) = (best_i / n_az, best_i % n_az);
-        let coarse = self.grid.direction(best_i);
-        if !self.options.subcell_refinement {
-            return LinkEstimate {
-                direction: coarse,
-                score: best_w * inv_norm,
-                cell: best_i,
-            };
-        }
-        let az_off = if az_i > 0 && az_i + 1 < n_az {
-            match (value_at(best_i - 1), value_at(best_i + 1)) {
-                (Some(l), Some(r)) => parabolic_offset(l, best_w, r),
-                _ => 0.0,
-            }
-        } else {
-            0.0
-        };
-        let el_off = if el_i > 0 && el_i + 1 < self.grid.el.len() {
-            match (value_at(best_i - n_az), value_at(best_i + n_az)) {
-                (Some(l), Some(r)) => parabolic_offset(l, best_w, r),
-                _ => 0.0,
-            }
-        } else {
-            0.0
-        };
-        LinkEstimate {
-            direction: Direction::new(
-                coarse.az_deg + az_off * self.grid.az.step_deg,
-                coarse.el_deg + el_off * self.grid.el.step_deg,
-            ),
-            score: best_w * inv_norm,
-            cell: best_i,
-        }
+/// The one finish of both kernels: the argmax cell `best_i` of the final
+/// map, refined to sub-cell precision when `subcell` is set (see
+/// [`subcell_offsets`]). `best_w` and the map share one scale (the
+/// parabolic offset is scale-invariant); `score_factor` is the deferred
+/// per-link normalizer applied to the reported score (1.0 for the scalar
+/// kernel, whose map is already normalized).
+pub(crate) fn refine(
+    grid: &geom::sphere::SphericalGrid,
+    subcell: bool,
+    map: &[f64],
+    best_i: usize,
+    best_w: f64,
+    score_factor: f64,
+) -> LinkEstimate {
+    let coarse = grid.direction(best_i);
+    let direction = if subcell {
+        let (az_off, el_off) = subcell_offsets(grid, map, best_i, best_w);
+        Direction::new(
+            coarse.az_deg + az_off * grid.az.step_deg,
+            coarse.el_deg + el_off * grid.el.step_deg,
+        )
+    } else {
+        coarse
+    };
+    LinkEstimate {
+        direction,
+        score: best_w * score_factor,
+        cell: best_i,
     }
 }
 

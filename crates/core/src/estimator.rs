@@ -82,7 +82,28 @@ fn energy_prior(ratio: f64) -> f64 {
 
 /// One-cell box smoothing of a correlation map in elevation-major layout,
 /// written into `out` (resized as needed).
-pub(crate) fn smooth_map_into(map: &[f64], n_az: usize, n_el: usize, out: &mut Vec<f64>) {
+///
+/// `RECIPROCAL` picks how the fixed-width 6- and 9-cell windows turn
+/// their sums into means. `false` divides: the scalar kernel, the
+/// reference and the batch `F64` path take this form, whose bits recorded
+/// traces replay against. `true` multiplies by the rounded reciprocal,
+/// at most one ulp off the division; only the batch `F32`/`Q15` paths
+/// take it, whose documented tolerance is 12 orders of magnitude looser.
+/// Divides dominate the division form's cost — ~100 unpipelined f64
+/// divisions per map against ~550 fully-vectorizable adds — so this is
+/// the single largest finish-stage saving on those paths. Corner cells
+/// and squat grids (`n_az < 3` or `n_el < 3`) divide by the clamped
+/// window's count in both forms.
+pub(crate) fn smooth_map_into<const RECIPROCAL: bool>(
+    map: &[f64],
+    n_az: usize,
+    n_el: usize,
+    out: &mut Vec<f64>,
+) {
+    const R6: f64 = 1.0 / 6.0;
+    const R9: f64 = 1.0 / 9.0;
+    let mean6 = |acc: f64| if RECIPROCAL { acc * R6 } else { acc / 6.0 };
+    let mean9 = |acc: f64| if RECIPROCAL { acc * R9 } else { acc / 9.0 };
     debug_assert_eq!(map.len(), n_az * n_el);
     out.clear();
     out.resize(map.len(), 0.0);
@@ -112,7 +133,7 @@ pub(crate) fn smooth_map_into(map: &[f64], n_az: usize, n_el: usize, out: &mut V
             let (mid, dn) = (&map[..n_az], &map[n_az..2 * n_az]);
             for a in 1..n_az - 1 {
                 let acc = mid[a - 1] + mid[a] + mid[a + 1] + dn[a - 1] + dn[a] + dn[a + 1];
-                out[a] = acc / 6.0;
+                out[a] = mean6(acc);
             }
         }
         let last = (n_el - 1) * n_az;
@@ -122,7 +143,7 @@ pub(crate) fn smooth_map_into(map: &[f64], n_az: usize, n_el: usize, out: &mut V
             let (up, mid) = (&map[last - n_az..last], &map[last..last + n_az]);
             for a in 1..n_az - 1 {
                 let acc = up[a - 1] + up[a] + up[a + 1] + mid[a - 1] + mid[a] + mid[a + 1];
-                out[last + a] = acc / 6.0;
+                out[last + a] = mean6(acc);
             }
         }
         for e in 1..n_el - 1 {
@@ -131,10 +152,10 @@ pub(crate) fn smooth_map_into(map: &[f64], n_az: usize, n_el: usize, out: &mut V
             let mid = &map[row..row + n_az];
             let dn = &map[row + n_az..row + 2 * n_az];
             let orow = &mut out[row..row + n_az];
-            orow[0] = (up[0] + up[1] + mid[0] + mid[1] + dn[0] + dn[1]) / 6.0;
+            orow[0] = mean6(up[0] + up[1] + mid[0] + mid[1] + dn[0] + dn[1]);
             let a_r = n_az - 1;
             orow[a_r] =
-                (up[a_r - 1] + up[a_r] + mid[a_r - 1] + mid[a_r] + dn[a_r - 1] + dn[a_r]) / 6.0;
+                mean6(up[a_r - 1] + up[a_r] + mid[a_r - 1] + mid[a_r] + dn[a_r - 1] + dn[a_r]);
             for a in 1..n_az - 1 {
                 let acc = up[a - 1]
                     + up[a]
@@ -145,84 +166,7 @@ pub(crate) fn smooth_map_into(map: &[f64], n_az: usize, n_el: usize, out: &mut V
                     + dn[a - 1]
                     + dn[a]
                     + dn[a + 1];
-                orow[a] = acc / 9.0;
-            }
-        }
-    } else {
-        for e in 0..n_el {
-            for a in 0..n_az {
-                out[e * n_az + a] = general(e, a);
-            }
-        }
-    }
-}
-
-/// [`smooth_map_into`] with the border/interior divisions replaced by
-/// reciprocal multiplies. One-ulp different from the exact version, so
-/// only the batch kernel's `F32`/`Q15` paths (whose documented tolerance
-/// is 12 orders of magnitude looser) use it; the scalar kernel and the
-/// golden-pinned `F64` path keep the division form that recorded traces
-/// replay bit-exactly. Divides dominate the exact version's cost — ~100
-/// unpipelined f64 divisions per map against ~550 fully-vectorizable
-/// adds — so this is the single largest finish-stage saving.
-pub(crate) fn smooth_map_into_mul(map: &[f64], n_az: usize, n_el: usize, out: &mut Vec<f64>) {
-    const R6: f64 = 1.0 / 6.0;
-    const R9: f64 = 1.0 / 9.0;
-    debug_assert_eq!(map.len(), n_az * n_el);
-    out.clear();
-    out.resize(map.len(), 0.0);
-    let general = |e: usize, a: usize| {
-        let mut acc = 0.0;
-        let mut cnt = 0.0;
-        for de in e.saturating_sub(1)..=(e + 1).min(n_el - 1) {
-            for da in a.saturating_sub(1)..=(a + 1).min(n_az - 1) {
-                acc += map[de * n_az + da];
-                cnt += 1.0;
-            }
-        }
-        acc / cnt
-    };
-    if n_el >= 3 && n_az >= 3 {
-        out[0] = general(0, 0);
-        out[n_az - 1] = general(0, n_az - 1);
-        {
-            let (mid, dn) = (&map[..n_az], &map[n_az..2 * n_az]);
-            for a in 1..n_az - 1 {
-                let acc = mid[a - 1] + mid[a] + mid[a + 1] + dn[a - 1] + dn[a] + dn[a + 1];
-                out[a] = acc * R6;
-            }
-        }
-        let last = (n_el - 1) * n_az;
-        out[last] = general(n_el - 1, 0);
-        out[last + n_az - 1] = general(n_el - 1, n_az - 1);
-        {
-            let (up, mid) = (&map[last - n_az..last], &map[last..last + n_az]);
-            for a in 1..n_az - 1 {
-                let acc = up[a - 1] + up[a] + up[a + 1] + mid[a - 1] + mid[a] + mid[a + 1];
-                out[last + a] = acc * R6;
-            }
-        }
-        for e in 1..n_el - 1 {
-            let row = e * n_az;
-            let up = &map[row - n_az..row];
-            let mid = &map[row..row + n_az];
-            let dn = &map[row + n_az..row + 2 * n_az];
-            let orow = &mut out[row..row + n_az];
-            orow[0] = (up[0] + up[1] + mid[0] + mid[1] + dn[0] + dn[1]) * R6;
-            let a_r = n_az - 1;
-            orow[a_r] =
-                (up[a_r - 1] + up[a_r] + mid[a_r - 1] + mid[a_r] + dn[a_r - 1] + dn[a_r]) * R6;
-            for a in 1..n_az - 1 {
-                let acc = up[a - 1]
-                    + up[a]
-                    + up[a + 1]
-                    + mid[a - 1]
-                    + mid[a]
-                    + mid[a + 1]
-                    + dn[a - 1]
-                    + dn[a]
-                    + dn[a + 1];
-                orow[a] = acc * R9;
+                orow[a] = mean9(acc);
             }
         }
     } else {
@@ -616,7 +560,7 @@ impl CompressiveEstimator {
             if s.smoothed.capacity() < s.map.len() {
                 s.grew += 1;
             }
-            smooth_map_into(
+            smooth_map_into::<false>(
                 &s.map,
                 self.grid.az.len(),
                 self.grid.el.len(),
@@ -676,36 +620,21 @@ impl CompressiveEstimator {
             return None;
         }
         let n_az = self.grid.az.len();
-        let (el_i, az_i) = (best_i / n_az, best_i % n_az);
         if let Some(sp) = &mut span {
             sp.field("score", best_w);
             sp.field("argmax_margin", argmax_margin(map, best_i, n_az, best_w));
         }
         self.check_residuals(scratch, best_i);
-        let coarse = self.grid.direction(best_i);
-        if !self.options.subcell_refinement {
-            return Some((coarse, best_w));
-        }
-        // Sub-cell offset along each axis, in cells ∈ [-0.5, 0.5].
-        let az_off = if az_i > 0 && az_i + 1 < n_az {
-            parabolic_offset(map[best_i - 1], best_w, map[best_i + 1])
-        } else {
-            0.0
-        };
-        let el_off = if el_i > 0 && el_i + 1 < self.grid.el.len() {
-            parabolic_offset(map[best_i - n_az], best_w, map[best_i + n_az])
-        } else {
-            0.0
-        };
-        if let Some(sp) = &mut span {
+        // The batch kernel's finish; this map is already normalized, so
+        // the score factor is 1.
+        let subcell = self.options.subcell_refinement;
+        let est = crate::batch::refine(&self.grid, subcell, map, best_i, best_w, 1.0);
+        if let Some(sp) = span.as_mut().filter(|_| subcell) {
+            let (az_off, el_off) = crate::batch::subcell_offsets(&self.grid, map, best_i, best_w);
             sp.field("refine_daz_deg", az_off * self.grid.az.step_deg);
             sp.field("refine_del_deg", el_off * self.grid.el.step_deg);
         }
-        let refined = Direction::new(
-            coarse.az_deg + az_off * self.grid.az.step_deg,
-            coarse.el_deg + el_off * self.grid.el.step_deg,
-        );
-        Some((refined, best_w))
+        Some((est.direction, est.score))
     }
 
     /// Scalar estimate through the reduced-precision batched kernel
@@ -936,7 +865,7 @@ pub mod reference {
     /// One-cell box smoothing of a correlation map (allocating variant).
     fn smooth_map(map: &[f64], n_az: usize, n_el: usize) -> Vec<f64> {
         let mut out = vec![0.0; map.len()];
-        super::smooth_map_into(map, n_az, n_el, &mut out);
+        super::smooth_map_into::<false>(map, n_az, n_el, &mut out);
         out
     }
 
@@ -1433,5 +1362,58 @@ mod tests {
         let (b2, _) = est_f.estimate_with(&mut scratch, &readings).unwrap();
         assert_eq!(a1, a2, "coarse estimate independent of scratch history");
         assert_eq!(b1, b2, "fine estimate independent of scratch history");
+    }
+
+    #[test]
+    fn smoothing_forms_match_the_clamped_window_mean() {
+        use rand::Rng;
+        // The clamped 3×3 window mean, spelled out: rows ascending, then
+        // columns, one division by the window's cell count.
+        fn window_mean(map: &[f64], n_az: usize, n_el: usize, e: usize, a: usize) -> f64 {
+            let (mut acc, mut cnt) = (0.0, 0.0);
+            for de in e.saturating_sub(1)..=(e + 1).min(n_el - 1) {
+                for da in a.saturating_sub(1)..=(a + 1).min(n_az - 1) {
+                    acc += map[de * n_az + da];
+                    cnt += 1.0;
+                }
+            }
+            acc / cnt
+        }
+        let ulps = |x: f64, y: f64| x.to_bits().abs_diff(y.to_bits());
+        let mut rng = geom::rng::sub_rng(17, "smooth-map-forms");
+        // Squat grids (the per-cell fallback) first, then regular ones.
+        let shapes = [
+            (1, 1),
+            (7, 1),
+            (1, 5),
+            (25, 2),
+            (2, 9),
+            (3, 3),
+            (25, 4),
+            (31, 7),
+        ];
+        let (mut div, mut rec) = (Vec::new(), Vec::new());
+        let mut differ = 0usize;
+        for (n_az, n_el) in shapes {
+            for _ in 0..20 {
+                let map: Vec<f64> = (0..n_az * n_el).map(|_| rng.gen_range(0.0..1.0)).collect();
+                smooth_map_into::<false>(&map, n_az, n_el, &mut div);
+                smooth_map_into::<true>(&map, n_az, n_el, &mut rec);
+                for e in 0..n_el {
+                    for a in 0..n_az {
+                        let i = e * n_az + a;
+                        let want = window_mean(&map, n_az, n_el, e, a);
+                        let ctx = format!("{n_az}×{n_el} cell ({e}, {a})");
+                        assert_eq!(div[i].to_bits(), want.to_bits(), "{ctx}: division form");
+                        assert!(ulps(rec[i], div[i]) <= 1, "{ctx}: reciprocal form");
+                        differ += usize::from(rec[i] != div[i]);
+                        if (e == 0 || e == n_el - 1) && (a == 0 || a == n_az - 1) {
+                            assert_eq!(rec[i].to_bits(), div[i].to_bits(), "{ctx}: corner");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(differ > 0, "the reciprocal form is a distinct finish");
     }
 }

@@ -24,8 +24,8 @@
 //!   map, providing a backup sector for instant blockage fail-over (the
 //!   §2.1/§8 multi-path and BeamSpy ideas, adapted to commodity readings).
 //! * [`batch`] — the GEMM-shaped multi-link kernel: B concurrent links'
-//!   probe panels swept against the grid-major gains matrix in one pass,
-//!   with f32/q15 reduced-precision paths and coarse-to-fine grid pruning.
+//!   probe panels swept against the grid-major gains matrix in one dense
+//!   pass, with f32/q15 reduced-precision paths.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,7 +38,7 @@ pub mod multipath;
 pub mod selection;
 pub mod strategy;
 
-pub use batch::{BatchEstimator, BatchScratch, LinkEstimate, PruneConfig};
+pub use batch::{BatchEstimator, BatchScratch, LinkEstimate};
 pub use estimator::{
     patterns_digest, CompressiveEstimator, CorrelationMode, EstimatorOptions, KernelClosure,
     KernelPath,

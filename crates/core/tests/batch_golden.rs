@@ -10,8 +10,6 @@
 //!   documented tolerances and agree with the f64 argmax (same winning
 //!   cell, same selected sector) at the configured rates over 1 000
 //!   seeded beam-pattern scenarios;
-//! * coarse-to-fine pruning must reproduce the full-grid argmax exactly,
-//!   on every precision path;
 //! * the 1-, 4- and 8-lane inner kernels must be bit-identical;
 //! * batch composition (alone vs inside a larger batch) must not change
 //!   any link's bits — the property the deterministic parallel engine
@@ -23,7 +21,7 @@ use chamber::SectorPatterns;
 use css::estimator::{
     top_cells, CompressiveEstimator, CorrelationMode, EstimatorOptions, KernelPath,
 };
-use css::{BatchEstimator, BatchScratch, CompressiveSelection, CssConfig, PruneConfig};
+use css::{BatchEstimator, BatchScratch, CompressiveSelection, CssConfig};
 use geom::rng::sub_rng;
 use geom::sphere::{Direction, GridSpec, SphericalGrid};
 use rand::rngs::StdRng;
@@ -109,21 +107,6 @@ fn beam_store(rng: &mut StdRng) -> SectorPatterns {
     beam_store_on(
         rng,
         SphericalGrid::new(GridSpec::new(-60.0, 60.0, az_step), el),
-    )
-}
-
-/// The beam store on a paper-fidelity grid: 121 × 16 cells, large enough
-/// that the default coarse-to-fine plan survives the workload guard (on
-/// the coarse test grids above, `with_prune` correctly falls back to the
-/// dense sweep because the refined neighbourhoods would cover the whole
-/// grid anyway).
-fn fine_beam_store(rng: &mut StdRng) -> SectorPatterns {
-    beam_store_on(
-        rng,
-        SphericalGrid::new(
-            GridSpec::new(-60.0, 60.0, 1.0),
-            GridSpec::new(0.0, 30.0, 2.0),
-        ),
     )
 }
 
@@ -389,116 +372,6 @@ fn q15_path_agrees_with_f64_within_documented_tolerance() {
         agg.max_score_err_same_cell <= 0.05,
         "q15 same-cell score error {} above 0.05",
         agg.max_score_err_same_cell
-    );
-}
-
-#[test]
-fn pruned_argmax_matches_full_grid_on_every_path() {
-    let mut rng = sub_rng(909, "batch-golden-pruned");
-    let mut pruned_used = 0usize;
-    let mut nontrivial = 0usize;
-    let mut exact_ties = 0usize;
-    for trial in 0..20 {
-        let store = fine_beam_store(&mut rng);
-        let links_store: Vec<Vec<SweepReading>> =
-            (0..4).map(|_| beam_readings(&mut rng, &store)).collect();
-        let links: Vec<&[SweepReading]> = links_store.iter().map(Vec::as_slice).collect();
-        for path in [KernelPath::F64, KernelPath::F32, KernelPath::Q15] {
-            // Deployment options: the equivalence contract holds with the
-            // energy prior and smoothing ON. Both exist to suppress
-            // knife-edge "dark cell" spikes — precisely the feature a
-            // top-K coarse ranking can miss. Pruning a raw, unsmoothed,
-            // unprior'd map remains a best-effort approximation and is
-            // not claimed exact (DESIGN.md).
-            let options = EstimatorOptions {
-                energy_prior: true,
-                smoothing: true,
-                subcell_refinement: trial % 2 == 0,
-                kernel_path: path,
-            };
-            let full = BatchEstimator::new(&store, CorrelationMode::JointSnrRssi, options);
-            let pruned = BatchEstimator::new(&store, CorrelationMode::JointSnrRssi, options)
-                .with_prune(PruneConfig::default());
-            if pruned.prune_active() {
-                pruned_used += 1;
-            }
-            let mut scratch = BatchScratch::new();
-            let dense = full.estimate_batch(&mut scratch, &links);
-            let fast = pruned.estimate_batch(&mut scratch, &links);
-            for b in 0..links.len() {
-                let ctx = format!("trial {trial}, path {path:?}, link {b}");
-                match (dense[b], fast[b]) {
-                    (None, None) => {}
-                    (Some(d), Some(f)) => {
-                        nontrivial += 1;
-                        if d.cell != f.cell {
-                            // The integer Q15 arithmetic (and, rarely,
-                            // the float paths) can value two distant
-                            // cells *exactly* equally; when the tie
-                            // straddles the refined set, dense and
-                            // pruned argmax legitimately land on
-                            // different members. Accept a cell mismatch
-                            // only for a bit-exact tie on the dense
-                            // final map.
-                            let fmap = full
-                                .final_map_one(&mut scratch, links[b])
-                                .expect("nontrivial link has a dense map");
-                            assert_eq!(
-                                fmap[d.cell].to_bits(),
-                                fmap[f.cell].to_bits(),
-                                "{ctx}: pruned argmax diverged on non-tied cells \
-                                 ({} vs {})",
-                                d.cell,
-                                f.cell
-                            );
-                            exact_ties += 1;
-                            continue;
-                        }
-                        // The pruned energy-prior normalizer is local to
-                        // the refined set — a per-link constant factor
-                        // that cannot move the (scale-invariant)
-                        // parabolic offset, so directions still match.
-                        assert!(
-                            (d.direction.az_deg - f.direction.az_deg).abs() <= 1e-9
-                                && (d.direction.el_deg - f.direction.el_deg).abs() <= 1e-9,
-                            "{ctx}: directions diverge: {} vs {}",
-                            d.direction,
-                            f.direction
-                        );
-                    }
-                    (d, f) => panic!("{ctx}: degeneracy diverged: dense {d:?} vs pruned {f:?}"),
-                }
-            }
-        }
-    }
-    assert!(pruned_used > 0, "no trial actually exercised pruning");
-    assert!(
-        nontrivial >= 200,
-        "randomization produced only {nontrivial} non-degenerate estimates"
-    );
-    assert!(
-        exact_ties * 10 <= nontrivial,
-        "exact ties should be the exception: {exact_ties}/{nontrivial}"
-    );
-}
-
-#[test]
-fn prune_plan_falls_back_to_dense_on_small_grids() {
-    // On the coarse chamber grids the top-K padded neighbourhoods cover
-    // the whole grid, so a "pruned" pass would do full-grid work at lane
-    // width 1 plus coarse-stage overhead. The workload guard must refuse
-    // the plan.
-    let mut rng = sub_rng(911, "batch-golden-prune-guard");
-    let store = beam_store(&mut rng);
-    let est = BatchEstimator::new(
-        &store,
-        CorrelationMode::JointSnrRssi,
-        EstimatorOptions::default(),
-    )
-    .with_prune(PruneConfig::default());
-    assert!(
-        !est.prune_active(),
-        "pruning must fall back to the dense sweep when it cannot win"
     );
 }
 

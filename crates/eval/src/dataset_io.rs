@@ -193,6 +193,7 @@ mod tests {
 
     #[test]
     fn reanalysis_on_reloaded_data_matches() {
+        let _guard = obs::testing::lock();
         // The Fig. 9 analysis must give identical numbers on the reloaded
         // dataset (the whole point of offline persistence).
         let mut s = EvalScenario::conference_room(Fidelity::Fast, 1201);

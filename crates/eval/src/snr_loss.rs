@@ -140,6 +140,8 @@ mod tests {
     use crate::scenario::{EvalScenario, Fidelity};
 
     fn run(seed: u64) -> SnrLossResult {
+        // CSS decisions reach whatever sink a sibling test installed.
+        let _guard = obs::testing::lock();
         let mut s = EvalScenario::conference_room(Fidelity::Fast, seed);
         let data = s.record(seed);
         snr_loss(&data, &s.patterns, &[4, 14, 30], seed)

@@ -137,6 +137,8 @@ mod tests {
     use crate::scenario::{EvalScenario, Fidelity};
 
     fn run(seed: u64) -> StabilityResult {
+        // CSS decisions reach whatever sink a sibling test installed.
+        let _guard = obs::testing::lock();
         let mut s = EvalScenario::conference_room(Fidelity::Fast, seed);
         // More sweeps per position make the stability statistic meaningful.
         s.sweeps_per_position = 10;

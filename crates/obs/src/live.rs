@@ -565,6 +565,7 @@ mod tests {
 
     #[test]
     fn healthz_flips_with_the_page_alert() {
+        let _guard = crate::testing::lock();
         let m = LiveMonitor::new(SamplerConfig::default(), vec![gauge_rule("live.test.g")]);
         assert!(m.healthz().0, "healthy before any tick");
         m.tick_with(&snap(20));
@@ -583,6 +584,7 @@ mod tests {
 
     #[test]
     fn json_payloads_parse_and_carry_the_series() {
+        let _guard = crate::testing::lock();
         let m = LiveMonitor::new(SamplerConfig::default(), vec![gauge_rule("live.test.g")]);
         for v in [1, 2, 20, 20, 20] {
             m.tick_with(&snap(v));
@@ -624,6 +626,7 @@ mod tests {
 
     #[test]
     fn links_rollup_sorts_worst_first_and_flight_dumps_on_firing() {
+        let _guard = crate::testing::lock();
         use crate::flight::{FlightConfig, FlightRecorder};
         let rule = Rule {
             name: "loss_per_link".into(),
@@ -704,6 +707,7 @@ mod tests {
 
     #[test]
     fn ticker_ticks_and_stops_on_drop() {
+        let _guard = crate::testing::lock();
         let m = Arc::new(LiveMonitor::with_defaults());
         let ticker = m.start_ticker(Duration::from_millis(10));
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
