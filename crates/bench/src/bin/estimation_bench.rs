@@ -9,16 +9,17 @@
 //! ```
 //!
 //! `--check <baseline>` fails the process when a required key is missing
-//! from the fresh measurement, when the M=14 estimate (or any batched
-//! `batch_estimate_ns_b*` figure) is more than 25 % slower than the
-//! committed baseline, or when the amortized B=16 batched estimate misses
-//! both the 1 µs target and the `estimate_m14_ns / 3` fallback floor.
+//! from the fresh measurement or the baseline, when the M=14 estimate (or
+//! any batched `batch_estimate_ns_b*` figure) is more than 25 % slower
+//! than the committed baseline, or when the amortized B=16 batched
+//! estimate misses both the 1 µs target and the `estimate_m14_ns / 3`
+//! fallback floor.
 //! The parallel-efficiency floor (≥ 0.6× per core) is enforced only on
 //! machines with ≥ 4 cores, since smaller hosts cannot exhibit the
 //! scaling in the first place; a baseline recorded on a different core
 //! count only triggers a warning, as its timings are indicative only.
 
-use bench::bench_patterns;
+use bench::{bench_patterns, BaselineCheck, Better};
 use css::estimator::reference::ReferenceEstimator;
 use css::estimator::{CompressiveEstimator, CorrelationMode, EstimatorOptions, KernelPath};
 use css::{BatchEstimator, BatchScratch};
@@ -74,19 +75,6 @@ fn time_ns(iters: u32, mut f: impl FnMut()) -> f64 {
         done += n;
     }
     best
-}
-
-/// Extracts a numeric value from a flat JSON object without a parser
-/// (the serde shim has no `from_str`; the files are machine-written).
-fn json_f64(text: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\"");
-    let at = text.find(&pat)?;
-    let rest = text[at + pat.len()..].trim_start().strip_prefix(':')?;
-    let rest = rest.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 fn main() {
@@ -217,57 +205,34 @@ fn main() {
          \"cores\": {cores},\n  \
          \"smoke\": {smoke}\n}}\n"
     );
+    // Read the baseline before writing `out`: without `--out` they are the
+    // same file, and the check would compare the run with itself.
+    let check = check.map(|path| (BaselineCheck::read(&path, &json, REQUIRED_KEYS), path));
     std::fs::write(&out, &json).expect("write BENCH_estimation.json");
     println!("{json}");
     println!("wrote {out}");
 
-    if let Some(baseline_path) = check {
-        let baseline = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("--check: cannot read {baseline_path}: {e}"));
-        let mut failures = Vec::new();
-        for key in REQUIRED_KEYS {
-            if json_f64(&json, key).is_none() {
-                failures.push(format!("fresh measurement is missing key {key:?}"));
-            }
-            if json_f64(&baseline, key).is_none() {
-                failures.push(format!("baseline {baseline_path} is missing key {key:?}"));
-            }
-        }
-        if let Some(base_ns) = json_f64(&baseline, "estimate_m14_ns") {
-            let limit = base_ns * 1.25;
-            if estimate_m14_ns > limit {
-                failures.push(format!(
-                    "M=14 estimate regressed >25%: {estimate_m14_ns:.0} ns vs baseline \
-                     {base_ns:.0} ns (limit {limit:.0} ns)"
-                ));
-            }
-        }
-        for (key, fresh) in [
-            ("batch_estimate_ns_b1", batch_estimate_ns_b1),
-            ("batch_estimate_ns_b16", batch_estimate_ns_b16),
-            ("batch_estimate_ns_b64", batch_estimate_ns_b64),
+    if let Some((mut check, baseline_path)) = check {
+        for key in [
+            "estimate_m14_ns",
+            "batch_estimate_ns_b1",
+            "batch_estimate_ns_b16",
+            "batch_estimate_ns_b64",
         ] {
-            if let Some(base_ns) = json_f64(&baseline, key) {
-                let limit = base_ns * 1.25;
-                if fresh > limit {
-                    failures.push(format!(
-                        "{key} regressed >25%: {fresh:.0} ns vs baseline {base_ns:.0} ns \
-                         (limit {limit:.0} ns)"
-                    ));
-                }
-            }
+            check.bound(key, Better::Lower, 0.25);
         }
         // Amortized batched floor: sub-µs per estimate at B=16; hosts too
         // slow for the absolute target must still beat the scalar kernel
         // by 3× (same workload, so the ratio is hardware-independent).
         if batch_estimate_ns_b16 > 1_000.0 && batch_estimate_ns_b16 > estimate_m14_ns / 3.0 {
-            failures.push(format!(
+            check.fail(format!(
                 "B=16 batched estimate {batch_estimate_ns_b16:.0} ns misses both the \
                  1000 ns target and the estimate_m14_ns/3 floor ({:.0} ns)",
                 estimate_m14_ns / 3.0
             ));
         }
-        if let Some(base_cores) = json_f64(&baseline, "cores") {
+        let base_cores = check.baseline("cores");
+        if let Some(base_cores) = base_cores {
             if (base_cores - cores as f64).abs() > 0.5 {
                 println!(
                     "warning: baseline {baseline_path} was recorded on {base_cores:.0} core(s) \
@@ -279,16 +244,9 @@ fn main() {
         // (its speedup/efficiency are ~1.0 by construction), so comparing
         // against it would flag every multi-core run. Skip the parallel
         // comparison then; the host-side efficiency floor still applies.
-        let baseline_parallel_is_meaningful = json_f64(&baseline, "cores").is_none_or(|c| c > 1.0);
-        if baseline_parallel_is_meaningful {
-            if let Some(base_speedup) = json_f64(&baseline, "parallel_speedup") {
-                let floor = base_speedup * 0.75;
-                if threads > 1 && parallel_speedup < floor {
-                    failures.push(format!(
-                        "parallel speedup regressed >25%: {parallel_speedup:.2}× vs \
-                         baseline {base_speedup:.2}× (floor {floor:.2}×)"
-                    ));
-                }
+        if base_cores.is_none_or(|c| c > 1.0) {
+            if threads > 1 {
+                check.bound("parallel_speedup", Better::Higher, 0.25);
             }
         } else {
             println!(
@@ -297,18 +255,11 @@ fn main() {
             );
         }
         if cores >= 4 && parallel_efficiency < 0.6 {
-            failures.push(format!(
+            check.fail(format!(
                 "parallel efficiency {parallel_efficiency:.2} below the 0.6×/core floor \
                  on a {cores}-core host"
             ));
         }
-        if !failures.is_empty() {
-            eprintln!("BENCH_estimation check FAILED:");
-            for f in &failures {
-                eprintln!("  - {f}");
-            }
-            std::process::exit(1);
-        }
-        println!("check against {baseline_path}: OK");
+        check.exit_on_failure("BENCH_estimation");
     }
 }

@@ -20,7 +20,7 @@
 //! stage pays even with tracing off) is more than 25 % slower than the
 //! baseline.
 
-use bench::bench_patterns;
+use bench::{bench_patterns, BaselineCheck, Better};
 use css::estimator::{CompressiveEstimator, CorrelationMode};
 use geom::rng::sub_rng;
 use std::hint::black_box;
@@ -57,19 +57,6 @@ fn time_ns(iters: u32, mut f: impl FnMut()) -> f64 {
         f();
     }
     start.elapsed().as_nanos() as f64 / f64::from(iters)
-}
-
-/// Extracts a numeric value from a flat JSON object without a parser
-/// (the serde shim has no `from_str`; the files are machine-written).
-fn json_f64(text: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\"");
-    let at = text.find(&pat)?;
-    let rest = text[at + pat.len()..].trim_start().strip_prefix(':')?;
-    let rest = rest.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 fn main() {
@@ -247,6 +234,9 @@ fn main() {
          \"estimate_m14_ns\": {estimate_m14_ns:.2},\n  \
          \"noop_overhead_percent\": {noop_overhead_percent:.4}\n}}\n"
     );
+    // Read the baseline before writing `out`: without `--out` they are the
+    // same file, and the check would compare the run with itself.
+    let check = check.map(|path| BaselineCheck::read(&path, &json, REQUIRED_KEYS));
     std::fs::write(&out, &json).expect("write BENCH_obs.json");
     println!("{json}");
     println!("wrote {out}");
@@ -259,34 +249,8 @@ fn main() {
         "profiler publish overhead {prof_overhead_percent:.2}% exceeds the 1% budget"
     );
 
-    if let Some(baseline_path) = check {
-        let baseline = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("--check: cannot read {baseline_path}: {e}"));
-        let mut failures = Vec::new();
-        for key in REQUIRED_KEYS {
-            if json_f64(&json, key).is_none() {
-                failures.push(format!("fresh measurement is missing key {key:?}"));
-            }
-            if json_f64(&baseline, key).is_none() {
-                failures.push(format!("baseline {baseline_path} is missing key {key:?}"));
-            }
-        }
-        if let Some(base_ns) = json_f64(&baseline, "span_no_sink_ns") {
-            let limit = base_ns * 1.25;
-            if span_no_sink_ns > limit {
-                failures.push(format!(
-                    "no-sink span path regressed >25%: {span_no_sink_ns:.0} ns vs baseline \
-                     {base_ns:.0} ns (limit {limit:.0} ns)"
-                ));
-            }
-        }
-        if !failures.is_empty() {
-            eprintln!("BENCH_obs check FAILED:");
-            for f in &failures {
-                eprintln!("  - {f}");
-            }
-            std::process::exit(1);
-        }
-        println!("check against {baseline_path}: OK");
+    if let Some(mut check) = check {
+        check.bound("span_no_sink_ns", Better::Lower, 0.25);
+        check.exit_on_failure("BENCH_obs");
     }
 }

@@ -335,8 +335,13 @@ mod tests {
         )
     }
 
+    // Every test that runs an SLS or reads a global health counter holds
+    // `obs::testing::lock()`: an SLS emits `sls.iss`/`sls.rss` decisions
+    // and bumps health counters, which would land in a sibling's capture.
+
     #[test]
     fn full_sweep_duration_matches_fig10() {
+        let _guard = obs::testing::lock();
         let (link, ini, res) = setup();
         let runner = SlsRunner::new(&link, &ini, &res);
         let mut rng = sub_rng(1, "sls");
@@ -349,6 +354,7 @@ mod tests {
 
     #[test]
     fn outcome_selects_usable_sectors() {
+        let _guard = obs::testing::lock();
         let (link, ini, res) = setup();
         let runner = SlsRunner::new(&link, &ini, &res);
         let mut rng = sub_rng(2, "sls");
@@ -366,6 +372,7 @@ mod tests {
 
     #[test]
     fn frame_transcript_is_well_formed() {
+        let _guard = obs::testing::lock();
         let (link, ini, res) = setup();
         let runner = SlsRunner::new(&link, &ini, &res);
         let mut rng = sub_rng(3, "sls");
@@ -387,6 +394,7 @@ mod tests {
 
     #[test]
     fn rss_frames_echo_the_initiator_selection() {
+        let _guard = obs::testing::lock();
         let (link, ini, res) = setup();
         let runner = SlsRunner::new(&link, &ini, &res);
         let mut rng = sub_rng(4, "sls");
@@ -412,6 +420,7 @@ mod tests {
                 MaxSnrPolicy.select(readings)
             }
         }
+        let _guard = obs::testing::lock();
         let (link, ini, res) = setup();
         let runner = SlsRunner::new(&link, &ini, &res);
         let mut rng = sub_rng(5, "sls");
@@ -423,6 +432,7 @@ mod tests {
 
     #[test]
     fn missing_probes_and_clamped_snr_raise_health_counters() {
+        let _guard = obs::testing::lock();
         let before = obs::global().snapshot().counter("health.missing_probe");
         report_missing_probes(
             "iss",

@@ -1165,16 +1165,7 @@ impl<R: BufRead> BinReader<R> {
 /// bumping `health.trace_corrupt` for each. Prefer [`BinReader`] directly
 /// when the trace may not fit in memory (see `eval::soak`).
 pub fn read_trace(path: impl AsRef<Path>) -> Result<Trace, String> {
-    let mut reader = FileBinReader::open(path)?;
-    let mut trace = Trace::default();
-    while let Some(record) = reader.next_record()? {
-        trace.push(record);
-    }
-    trace.skipped = reader.skipped();
-    if trace.skipped > 0 {
-        crate::health::anomaly_n("trace_corrupt", trace.skipped as u64, &[]);
-    }
-    Ok(trace)
+    crate::trace::read_all(crate::TraceReader::Bin(FileBinReader::open(path)?))
 }
 
 /// Whether the file at `path` starts with the binary trace magic.

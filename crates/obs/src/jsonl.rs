@@ -246,16 +246,7 @@ impl<R: BufRead> JsonlReader<R> {
 /// counter. Failing to read the file, or finding a line written under a
 /// newer schema than this build understands, is an error.
 pub fn read_trace(path: impl AsRef<Path>) -> Result<Trace, String> {
-    let mut reader = FileJsonlReader::open(path)?;
-    let mut trace = Trace::default();
-    while let Some(record) = reader.next_record()? {
-        trace.push(record);
-    }
-    trace.skipped = reader.skipped();
-    if trace.skipped > 0 {
-        crate::health::anomaly_n("trace_corrupt", trace.skipped as u64, &[]);
-    }
-    Ok(trace)
+    crate::trace::read_all(crate::TraceReader::Jsonl(FileJsonlReader::open(path)?))
 }
 
 /// Parses trace text (one JSON object per line), skipping and counting

@@ -7,14 +7,6 @@
 //! snapshot records, the [`crate::timeseries::Sampler`] rings — working
 //! unchanged: a labeled series is just another (deterministically ordered)
 //! name. [`crate::prometheus`] splits the suffix back out at exposition time.
-//!
-//! Label sets can be interned process-wide to a compact [`LabelId`] so hot
-//! paths can cache the id (or better, the metric `Arc` itself) instead of
-//! re-rendering strings.
-
-use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::sync::OnceLock;
 
 /// A sorted set of `key=value` labels with a canonical rendering.
 ///
@@ -123,49 +115,6 @@ impl LabelSet {
             format!("{base}{{{}}}", self.inner)
         }
     }
-
-    /// Interns this set process-wide, returning its compact id.
-    pub fn intern(&self) -> LabelId {
-        let mut table = intern_table().lock();
-        if let Some(&id) = table.by_inner.get(&self.inner) {
-            return LabelId(id);
-        }
-        let id = table.sets.len() as u32;
-        table.by_inner.insert(self.inner.clone(), id);
-        table.sets.push(self.clone());
-        LabelId(id)
-    }
-}
-
-/// Compact process-wide id for an interned [`LabelSet`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct LabelId(u32);
-
-impl LabelId {
-    /// The raw id value.
-    pub fn raw(self) -> u32 {
-        self.0
-    }
-
-    /// The interned label set for this id (panics on a forged id).
-    pub fn resolve(self) -> LabelSet {
-        intern_table().lock().sets[self.0 as usize].clone()
-    }
-}
-
-struct InternTable {
-    by_inner: HashMap<String, u32>,
-    sets: Vec<LabelSet>,
-}
-
-fn intern_table() -> &'static Mutex<InternTable> {
-    static TABLE: OnceLock<Mutex<InternTable>> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        Mutex::new(InternTable {
-            by_inner: HashMap::new(),
-            sets: Vec::new(),
-        })
-    })
 }
 
 /// Splits a (possibly qualified) metric name into its base and the inner
@@ -261,17 +210,5 @@ mod tests {
         let name = set.qualify("m");
         assert!(!name.contains(' '));
         assert_eq!(label_value(&name, "k"), Some("a_b_c_d_e_f_g_h"));
-    }
-
-    #[test]
-    fn interning_is_stable_and_resolvable() {
-        let a = LabelSet::from_pairs(&[("link", "intern-test")]);
-        let b = LabelSet::from_pairs(&[("link", "intern-test")]);
-        let ia = a.intern();
-        let ib = b.intern();
-        assert_eq!(ia, ib);
-        assert_eq!(ia.resolve(), a);
-        let other = LabelSet::from_pairs(&[("link", "intern-other")]).intern();
-        assert_ne!(ia, other);
     }
 }

@@ -63,8 +63,8 @@ pub const HISTOGRAM_BUCKETS: usize = 65;
 /// Bucket 0 holds exact zeros; bucket `i >= 1` holds samples in
 /// `[2^(i-1), 2^i)`. Recording is a single relaxed atomic add, so the
 /// histogram is safe to share across threads and cheap enough to sit on
-/// hot paths (the no-op-sink overhead budget in `crates/bench/benches/obs.rs`
-/// depends on this).
+/// hot paths (`obs_bench` times it as `histogram_record_ns` in
+/// `BENCH_obs.json`, under the no-sink overhead budget).
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],

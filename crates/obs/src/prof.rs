@@ -508,14 +508,6 @@ impl std::fmt::Debug for Profiler {
     }
 }
 
-/// Serializes this crate's tests that start a profiler: a test holding
-/// it knows the publish gate stays off until it starts one itself.
-#[cfg(test)]
-pub(crate) fn test_lock() -> parking_lot::MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(())).lock()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -542,7 +534,7 @@ mod tests {
 
     #[test]
     fn publish_gate_is_off_by_default_and_tracks_profilers() {
-        let _lock = test_lock();
+        let _guard = crate::testing::lock();
         let before = ACTIVE_PROFILERS.load(Ordering::Relaxed);
         assert_eq!(before, 0, "no other profiler runs under the lock");
         let p1 = manual_profiler();
@@ -557,7 +549,7 @@ mod tests {
 
     #[test]
     fn sampler_sees_the_published_stack() {
-        let _lock = test_lock();
+        let _guard = crate::testing::lock();
         let prof = manual_profiler();
         let _outer = crate::span("prof.test.outer");
         let _inner = crate::span("prof.test.inner");
@@ -573,7 +565,7 @@ mod tests {
 
     #[test]
     fn folded_since_reports_only_the_window() {
-        let _lock = test_lock();
+        let _guard = crate::testing::lock();
         let prof = manual_profiler();
         {
             let _a = crate::span("prof.test.before");
@@ -605,7 +597,7 @@ mod tests {
         // `outer` starts unprofiled, so its drop must not pop `inner`'s
         // frame (the push/pop pairing is tracked per span). The lock keeps
         // every other profiler of this crate's tests off meanwhile.
-        let _lock = test_lock();
+        let _guard = crate::testing::lock();
         assert!(!enabled(), "publish gate off before this test's profiler");
         let outer = crate::span("prof.test.straddle_outer");
         let prof = manual_profiler();
@@ -627,7 +619,7 @@ mod tests {
     fn out_of_order_drops_never_leave_a_dropped_frame_published() {
         // A profiler ticking every millisecond runs for the whole test,
         // so its sampler reads the slot while spans drop out of order.
-        let _lock = test_lock();
+        let _guard = crate::testing::lock();
         let prof = Profiler::start(Duration::from_millis(1));
         let a = crate::span("prof.test.ooo_a");
         let b = crate::span("prof.test.ooo_b");
@@ -687,7 +679,7 @@ mod tests {
 
     #[test]
     fn deep_stacks_truncate_without_corruption() {
-        let _lock = test_lock();
+        let _guard = crate::testing::lock();
         let prof = manual_profiler();
         let spans: Vec<crate::Span> = (0..MAX_FRAMES + 4)
             .map(|_| crate::span("prof.test.deep"))
@@ -708,7 +700,7 @@ mod tests {
 
     #[test]
     fn sampler_thread_ticks_on_its_own() {
-        let _lock = test_lock();
+        let _guard = crate::testing::lock();
         let prof = Profiler::start(Duration::from_millis(1));
         let _held = crate::span("prof.test.ticking");
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
@@ -720,7 +712,7 @@ mod tests {
 
     #[test]
     fn dead_thread_slots_are_garbage_collected() {
-        let _lock = test_lock();
+        let _guard = crate::testing::lock();
         let prof = manual_profiler();
         std::thread::spawn(|| {
             let _s = crate::span("prof.test.transient");

@@ -451,7 +451,7 @@ mod tests {
 
     #[test]
     fn profile_endpoint_serves_cumulative_and_windowed_captures() {
-        let _prof = crate::prof::test_lock();
+        let _guard = crate::testing::lock();
         let monitor = Arc::new(LiveMonitor::with_defaults());
         let profiler = Arc::new(crate::prof::Profiler::start(Duration::from_secs(3600)));
         monitor.attach_profiler(Arc::clone(&profiler));
@@ -487,7 +487,7 @@ mod tests {
 
     #[test]
     fn windowed_profile_capture_does_not_block_other_routes() {
-        let _prof = crate::prof::test_lock();
+        let _guard = crate::testing::lock();
         let monitor = Arc::new(LiveMonitor::with_defaults());
         monitor.attach_profiler(Arc::new(crate::prof::Profiler::start(Duration::from_secs(
             3600,

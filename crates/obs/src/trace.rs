@@ -328,7 +328,13 @@ pub fn open_reader(path: impl AsRef<std::path::Path>) -> Result<TraceReader, Str
 /// traces. `talon report`, `talon replay`, and `quality_from_trace` accept
 /// both formats through this one front door.
 pub fn open_trace(path: impl AsRef<std::path::Path>) -> Result<crate::jsonl::Trace, String> {
-    let mut reader = open_reader(&path)?;
+    read_all(open_reader(&path)?)
+}
+
+/// Drains `reader` into a [`crate::jsonl::Trace`]: the one whole-trace
+/// read loop behind [`open_trace`] and both formats' `read_trace`. Each
+/// skipped line or frame bumps `health.trace_corrupt`.
+pub(crate) fn read_all(mut reader: TraceReader) -> Result<crate::jsonl::Trace, String> {
     let mut trace = crate::jsonl::Trace::default();
     while let Some(record) = reader.next_record()? {
         trace.push(record);

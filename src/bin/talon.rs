@@ -35,6 +35,7 @@
 //! link-degradation drill); `top` renders a live terminal dashboard from a
 //! serving endpoint's `/timeseries` and `/alerts`.
 
+use bench::{BaselineCheck, Better};
 use chamber::{Campaign, CampaignConfig, SectorPatterns};
 use css::selection::{CompressiveSelection, CssConfig, DecisionOracle};
 use eval::scenario::{EvalScenario, Fidelity};
@@ -1074,19 +1075,6 @@ const SOAK_REQUIRED_KEYS: &[&str] = &[
 /// The ≥5× compression floor `BENCH_trace.json` is gated on.
 const SOAK_MIN_COMPRESSION: f64 = 5.0;
 
-/// Extracts a numeric value from a flat JSON object without a parser
-/// (the serde shim has no `from_str`; the files are machine-written).
-fn json_f64(text: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\"");
-    let at = text.find(&pat)?;
-    let rest = text[at + pat.len()..].trim_start().strip_prefix(':')?;
-    let rest = rest.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 fn cmd_soak(opts: &HashMap<String, String>) -> Result<(), String> {
     let smoke = opts.get("smoke").is_some();
     let decisions = match opts.get("decisions") {
@@ -1154,24 +1142,18 @@ fn cmd_soak(opts: &HashMap<String, String>) -> Result<(), String> {
         .get("out")
         .cloned()
         .unwrap_or_else(|| "BENCH_trace.json".into());
+    // Read the baseline before writing `out`: without `--out` they are the
+    // same file, and the check would compare the run with itself.
+    let check = opts
+        .get("check")
+        .map(|path| (BaselineCheck::read(path, &json, SOAK_REQUIRED_KEYS), path));
     std::fs::write(&out, &json).map_err(|e| format!("writing {out}: {e}"))?;
     println!("{json}");
     println!("wrote {out}");
 
-    if let Some(baseline_path) = opts.get("check") {
-        let baseline = std::fs::read_to_string(baseline_path)
-            .map_err(|e| format!("--check: cannot read {baseline_path}: {e}"))?;
-        let mut failures = Vec::new();
-        for key in SOAK_REQUIRED_KEYS {
-            if json_f64(&json, key).is_none() {
-                failures.push(format!("fresh measurement is missing key {key:?}"));
-            }
-            if json_f64(&baseline, key).is_none() {
-                failures.push(format!("baseline {baseline_path} is missing key {key:?}"));
-            }
-        }
+    if let Some((mut check, baseline_path)) = check {
         if report.compression_ratio < SOAK_MIN_COMPRESSION {
-            failures.push(format!(
+            check.fail(format!(
                 "compression ratio {:.2}× is below the {SOAK_MIN_COMPRESSION}× floor",
                 report.compression_ratio
             ));
@@ -1179,23 +1161,8 @@ fn cmd_soak(opts: &HashMap<String, String>) -> Result<(), String> {
         // Size is deterministic for a fixed workload, so a fatter record
         // is a codec regression, not noise (unlike throughput, which is
         // host-dependent and not compared).
-        if let Some(base_bpd) = json_f64(&baseline, "bytes_per_decision") {
-            let limit = base_bpd * 1.15;
-            if report.bytes_per_decision > limit {
-                failures.push(format!(
-                    "bytes/decision regressed >15%: {:.1} vs baseline {base_bpd:.1} \
-                     (limit {limit:.1})",
-                    report.bytes_per_decision
-                ));
-            }
-        }
-        if !failures.is_empty() {
-            let mut message = String::from("BENCH_trace check FAILED:");
-            for f in &failures {
-                message.push_str(&format!("\n  - {f}"));
-            }
-            return Err(message);
-        }
+        check.bound("bytes_per_decision", Better::Lower, 0.15);
+        check.finish("BENCH_trace")?;
         println!("check against {baseline_path}: OK");
     }
     Ok(())

@@ -202,3 +202,56 @@ fn report_json_counts_kernel_paths_across_decisions() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn soak_check_reads_the_baseline_before_overwriting_it() {
+    // Without `--out` the fresh numbers go to `BENCH_trace.json`, the
+    // same file `--check` names: the check must judge the run against
+    // the baseline as it was, not against the run itself.
+    let dir = workdir("soak-check");
+    let baseline = dir.join("BENCH_trace.json");
+    let keys = [
+        "decisions",
+        "trace_bytes",
+        "jsonl_bytes_per_decision",
+        "compression_ratio",
+        "record_per_s",
+        "replay_inline_1t_per_s",
+        "replay_1t_per_s",
+        "replay_nt_per_s",
+        "replay_nt_threads",
+        "rss_peak_mb",
+        "max_abs_err",
+    ];
+    let mut fields: Vec<String> = keys.iter().map(|k| format!("\"{k}\": 1")).collect();
+    fields.push("\"bytes_per_decision\": 1.0".into());
+    std::fs::write(&baseline, format!("{{{}}}", fields.join(", "))).unwrap();
+    let soak = |dir: &std::path::Path| {
+        talon()
+            .args(["soak", "--decisions", "100", "--threads", "1"])
+            .args(["--check", "BENCH_trace.json"])
+            .current_dir(dir)
+            .output()
+            .expect("run soak")
+    };
+    let out = soak(&dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "a 1 B/decision baseline must fail");
+    assert!(
+        stderr.contains("bytes_per_decision regressed >15%"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("missing key"), "{stderr}");
+
+    // A baseline that does not parse is one failure naming the file.
+    std::fs::write(&baseline, "{\"decisions\": ").unwrap();
+    let out = soak(&dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "an unparseable baseline must fail");
+    assert!(
+        stderr.contains("baseline BENCH_trace.json does not parse"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("missing key"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
